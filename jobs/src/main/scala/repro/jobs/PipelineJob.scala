@@ -29,7 +29,7 @@ object PipelineJob {
     val set = dialite.discover(query, Some(queryCol), k, queryName = "cases_p0")
     println(s"integration set: ${set.map(_._1).mkString(", ")}")
 
-    val it = dialite.integrate(set.distinctBy(_._1))
+    val it = dialite.integrate(set)
     JobSession.dump("integrated table (ALITE FD)", it.rendered.limit(30))
     println(s"integrated rows: ${it.asTable.count()}")
 

@@ -24,12 +24,13 @@ final class Dialite(
 
   /** Stage 1 — Discover (§2.1): union of all discoverers' top-k hits.
     * Returns the integration set D (query table first, then the discovered
-    * tables in deterministic order).
+    * tables in deterministic order), each table once: a query that is
+    * itself a lake table finds itself, and that hit is the query.
     */
   def discover(query: DataFrame, queryColumn: Option[String], k: Int,
                queryName: String = "query"): Seq[(String, DataFrame)] = {
     val hits: Seq[ScoredTable] = discoverers.flatMap(_.discover(query, queryColumn, k))
-    val names = hits.map(_.table).distinct.sorted
+    val names = hits.map(_.table).filter(_ != queryName).distinct.sorted
     (queryName -> query) +: names.map(n => n -> lake.table(n))
   }
 

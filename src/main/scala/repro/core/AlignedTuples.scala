@@ -17,6 +17,12 @@ import org.apache.spark.sql.functions._
   *   - `tids`    sorted provenance tuple IDs. If the input has a `TID`
   *               column it is used verbatim (the paper's figures name
   *               tuples t1..t16); otherwise IDs are `<table>#<row>`.
+  *
+  * Consumers key tuples on the arrays themselves: a value is identified by
+  * `vals`, a tuple by (`vals`, `tids`). Spark groups, dedupes and joins
+  * `array<string>` by element, null elements included, so no string
+  * encoding (which a value containing its separator could collide with)
+  * stands in between.
   */
 object AlignedTuples {
 
@@ -25,15 +31,27 @@ object AlignedTuples {
   val TabsCol = "tabs"
   val TidsCol = "tids"
 
-  /** Stable string key of a `vals` array (arrays with null elements are
-    * not reliable join/group keys, so everything keys on this).
-    */
-  def valsKey(vals: Column): Column =
-    concat_ws("\u0001", transform(vals, v => coalesce(v, lit("\u0000"))))
+  /** `df` with every column renamed to `p + name`: one side of a pairwise join. */
+  def prefixed(df: DataFrame, p: String): DataFrame =
+    df.select(df.columns.toSeq.map(c => col(c).as(p + c)): _*)
 
-  /** Stable string key identifying a tuple (values + provenance). */
-  def tupleKey(vals: Column, tids: Column): Column =
-    concat(valsKey(vals), lit("\u0002"), concat_ws(",", tids))
+  /** The one pairwise tuple merge, over sides prefixed `a_` and `b_`: values
+    * coalesced attribute-wise, coverage ORed, tables and TIDs unioned. A
+    * side that is null as a whole (no match in an outer join) leaves the
+    * other side unchanged.
+    */
+  def mergedPair: Seq[Column] = {
+    def a(c: String) = col("a_" + c)
+    def b(c: String) = col("b_" + c)
+    val none = lit(Array.empty[String])
+    def union(c: String) = array_sort(array_union(coalesce(a(c), none), coalesce(b(c), none)))
+    Seq(
+      coalesce(zip_with(a(ValsCol), b(ValsCol), coalesce(_, _)), a(ValsCol), b(ValsCol)).as(ValsCol),
+      coalesce(a(CoveredCol), lit(0L)).bitwiseOR(coalesce(b(CoveredCol), lit(0L))).as(CoveredCol),
+      union(TabsCol).as(TabsCol),
+      union(TidsCol).as(TidsCol),
+    )
+  }
 
   /** Build the outer union for one table. */
   def forTable(table: String, df: DataFrame, alignment: Alignment): DataFrame = {

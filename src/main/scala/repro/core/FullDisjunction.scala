@@ -47,14 +47,28 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * integration ID, and connected via shared non-null equal attributes;
   * value-subsumed outputs removed. Nulls never join.
   *
-  * Algorithm: pairwise complementation closure. Each round joins the
-  * frontier (tuples discovered last round) against all tuples, once per
-  * attribute index so Catalyst gets an equi-join key, keeps consistent
-  * table-disjoint pairs, and coalesces them into combined tuples; fixpoint
-  * when a round yields nothing new. Lineage is cut every round with
-  * `localCheckpoint` (iterative algorithm). Finally, value-duplicate rows
-  * are merged (keeping maximal TID-sets) and dominated rows removed via
-  * per-attribute subsumption joins.
+  * Algorithm: pairwise complementation closure grown from the base tuples.
+  * Each round joins the frontier (the tuples built last round) against the
+  * base tuples, once per attribute index so Catalyst gets an equi-join key,
+  * keeps consistent table-disjoint pairs and coalesces each into one tuple.
+  * Tuples are keyed on their `vals` array (and `tids`) themselves, so no
+  * value can collide with an encoding of another. Lineage is cut every
+  * round with `localCheckpoint`. Finally, value-identical rows are merged
+  * (keeping maximal TID-sets) and dominated rows removed by one subsumption
+  * join.
+  *
+  * Why growing from the base is enough: a connected, consistent set can be
+  * built one base tuple at a time in BFS order of its connection graph, and
+  * every prefix along the way is itself connected and consistent. A tuple
+  * that is consistent with a prefix's combined tuple is consistent with
+  * each of its members, and one sharing a value with the combined tuple
+  * shares it with some member, so round r builds exactly the valid sets of
+  * r+1 base tuples.
+  *
+  * Why the loop needs no anti-join and no round cap: every round adds at
+  * least one table to each tuple (joined sides are table-disjoint). So a
+  * round cannot rebuild an earlier generation's tuple, and there are at
+  * most as many productive rounds as tables in the integration set.
   */
 object FullDisjunction extends Integrator {
 
@@ -72,51 +86,31 @@ object FullDisjunction extends Integrator {
   /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
     * Exposed separately so baselines (ParaFD) can share representation.
     */
-  def integrateAligned(t0: DataFrame, m: Int, maxRounds: Int = 32): DataFrame = {
+  def integrateAligned(t0: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "no aligned attributes")
-    val closed = closure(t0, m, maxRounds)
-    subsume(dedupValues(closed), m)
-      .select(ValsCol, CoveredCol, TabsCol, TidsCol)
+    subsume(dedupValues(closure(t0, m)))
   }
 
   // ---------------------------------------------------------------- closure
 
-  private[core] def withKeys(df: DataFrame): DataFrame =
-    df.withColumn("vkey", valsKey(col(ValsCol)))
-      .withColumn("key", tupleKey(col(ValsCol), col(TidsCol)))
-
-  private def prefixed(df: DataFrame, p: String): DataFrame =
-    df.select(df.columns.map(c => col(c).as(p + c)): _*)
-
-  private def closure(t0: DataFrame, m: Int, maxRounds: Int): DataFrame = {
-    // `all` is the lazy union of per-round checkpointed frontiers — only the
-    // fresh tuples of a round are ever materialized.
-    val base = withKeys(t0).dropDuplicates("key").localCheckpoint()
+  /** Every connected, consistent, table-disjoint set of input tuples as one
+    * combined tuple: the union of the base and of each round's frontier.
+    */
+  private def closure(t0: DataFrame, m: Int): DataFrame = {
+    val base = t0.dropDuplicates(ValsCol, TidsCol).localCheckpoint()
     var generations = Vector(base)
-    def all = generations.reduce(_ unionByName _)
     var frontier = base
-    var round = 0
-    while (round < maxRounds && !frontier.isEmpty) {
-      round += 1
-      val combined = withKeys(combineRound(frontier, all, m)).dropDuplicates("key")
-      val fresh = combined
-        .join(all.select(col("key")), Seq("key"), "left_anti")
-        .select(base.columns.map(col): _*)
-        .localCheckpoint()
-      frontier = fresh
-      if (!fresh.isEmpty) generations :+= fresh
+    while (!frontier.isEmpty) {
+      frontier = combineRound(frontier, base, m).dropDuplicates(ValsCol, TidsCol).localCheckpoint()
+      generations :+= frontier
     }
-    require(frontier.isEmpty,
-      s"FD closure did not converge within $maxRounds rounds")
-    all
+    generations.reduce(_ unionByName _)
   }
 
-  /** All consistent, connected, table-disjoint pairs (frontier × all),
+  /** All consistent, connected, table-disjoint pairs of `a` × `b`,
     * coalesced into combined tuples.
     */
-  private[core] def combineRound(frontier: DataFrame, all: DataFrame, m: Int): DataFrame = {
-    val a = prefixed(frontier, "a_")
-    val b = prefixed(all, "b_")
+  private[core] def combineRound(a: DataFrame, b: DataFrame, m: Int): DataFrame = {
     def av(j: Int): Column = col("a_" + ValsCol).getItem(j)
     def bv(j: Int): Column = col("b_" + ValsCol).getItem(j)
     val consistent = (0 until m)
@@ -124,15 +118,11 @@ object FullDisjunction extends Integrator {
       .reduce(_ && _)
     val tableDisjoint =
       size(array_intersect(col("a_" + TabsCol), col("b_" + TabsCol))) === 0
+    val (pa, pb) = (prefixed(a, "a_"), prefixed(b, "b_"))
     val perAttr = (0 until m).map { i =>
-      a.join(b, (av(i) === bv(i)) && tableDisjoint && consistent)
+      pa.join(pb, (av(i) === bv(i)) && tableDisjoint && consistent)
     }
-    perAttr.reduce(_ unionAll _).select(
-      zip_with(col("a_" + ValsCol), col("b_" + ValsCol), (x, y) => coalesce(x, y)).as(ValsCol),
-      col("a_" + CoveredCol).bitwiseOR(col("b_" + CoveredCol)).as(CoveredCol),
-      array_sort(array_union(col("a_" + TabsCol), col("b_" + TabsCol))).as(TabsCol),
-      array_sort(array_union(col("a_" + TidsCol), col("b_" + TidsCol))).as(TidsCol),
-    )
+    perAttr.reduce(_ unionAll _).select(mergedPair: _*)
   }
 
   // ------------------------------------------------- dedup and subsumption
@@ -149,9 +139,8 @@ object FullDisjunction extends Integrator {
 
   private[core] def dedupValues(closed: DataFrame): DataFrame =
     closed
-      .groupBy("vkey")
+      .groupBy(ValsCol)
       .agg(
-        first(ValsCol).as(ValsCol),
         expr(s"bit_or($CoveredCol)").as(CoveredCol),
         array_sort(array_distinct(flatten(collect_list(TabsCol)))).as(TabsCol),
         mergeMaximalTidSets(collect_list(TidsCol)).as(TidsCol),
@@ -159,24 +148,24 @@ object FullDisjunction extends Integrator {
 
   /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
     * every non-null value of `t` and has strictly more non-null values.
-    * Joined on `t`'s first non-null attribute (a dominator must share it).
+    * A dominator must share `t`'s first non-null value, so one equi-join
+    * pairs `t`'s first (position, value) with every (position, value) of
+    * `u`. One join rather than one per attribute: the optimizer pushes a
+    * per-attribute filter below the dedup aggregate, which gives every
+    * such join its own shuffle.
     */
-  private[core] def subsume(dedup: DataFrame, m: Int): DataFrame = {
+  private[core] def subsume(dedup: DataFrame): DataFrame = {
     val nn = size(filter(col(ValsCol), v => v.isNotNull))
-    val firstIdx = coalesce(
-      (0 until m).map(j => when(col(ValsCol).getItem(j).isNotNull, lit(j))): _*)
-    val t = prefixed(dedup.withColumn("nn", nn).withColumn("fi", firstIdx), "t_")
-    val u = prefixed(dedup.withColumn("nn", nn), "u_")
-    def tv(j: Int): Column = col("t_" + ValsCol).getItem(j)
-    def uv(j: Int): Column = col("u_" + ValsCol).getItem(j)
-    val dominates = (0 until m)
-      .map(j => tv(j).isNull || (uv(j) === tv(j)))
-      .reduce(_ && _) && (col("u_nn") > col("t_nn"))
-    val dominatedKeys = (0 until m).map { i =>
-      t.where(col("t_fi") === i)
-        .join(u, (uv(i) === tv(i)) && dominates)
-        .select(col("t_vkey").as("vkey"))
-    }.reduce(_ unionAll _).distinct()
-    dedup.join(dominatedKeys, Seq("vkey"), "left_anti")
+    val t = dedup.select(col(ValsCol).as("t_vals"), nn.as("t_nn"),
+      (array_position(transform(col(ValsCol), _.isNotNull), true) - 1).as("t_pos"))
+    val u = dedup.select(col(ValsCol).as("u_vals"), nn.as("u_nn"),
+      posexplode(col(ValsCol)).as(Seq("u_pos", "u_v")))
+    val dominates =
+      forall(zip_with(col("t_vals"), col("u_vals"), (x, y) => x.isNull || x === y), identity) &&
+        col("u_nn") > col("t_nn")
+    val dominated = t
+      .join(u, col("t_pos") === col("u_pos") && col("t_vals")(col("t_pos")) === col("u_v") && dominates)
+      .select(col("t_vals").as(ValsCol)).distinct()
+    dedup.join(dominated, Seq(ValsCol), "left_anti")
   }
 }

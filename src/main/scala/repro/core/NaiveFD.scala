@@ -103,13 +103,6 @@ object NaiveFD {
     finish(maximal.map(_.toList.map(ts).reduce(combine)))
   }
 
-  /** Sequential pairwise-complementation closure — the tuple-at-a-time
-    * baseline standing in for Cohen et al. [2] in runtime comparisons.
-    * Join partners are looked up through an inverted (attribute, value)
-    * index, so the cost is proportional to the number of joining pairs —
-    * same work as the Spark version, one thread. Output equals
-    * `bruteForce`.
-    */
   /** The nested-loop variant of `iterative`: every frontier tuple scans
     * all tuples for partners, the way the NLOJ-based polynomial-delay
     * iterators of [2] rescan relations. Same output; used as the [2]
@@ -134,6 +127,13 @@ object NaiveFD {
     finish(all.values.toVector)
   }
 
+  /** Sequential pairwise-complementation closure — the tuple-at-a-time
+    * baseline standing in for Cohen et al. [2] in runtime comparisons.
+    * Join partners are looked up through an inverted (attribute, value)
+    * index, so the cost is proportional to the number of joining pairs —
+    * same work as the Spark version, one thread. Output equals
+    * `bruteForce`.
+    */
   def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
     val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
     val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]

@@ -39,8 +39,6 @@ object OuterJoinIntegration extends Integrator {
     */
   private def join(accDf: DataFrame, nextDf: DataFrame,
                    accCov: Long, nextCov: Long, m: Int): DataFrame = {
-    val a = accDf.select(accDf.columns.map(c => col(c).as("a_" + c)): _*)
-    val b = nextDf.select(nextDf.columns.map(c => col(c).as("b_" + c)): _*)
     val shared = (0 until m).filter(j => (accCov & nextCov & (1L << j)) != 0L)
     // pandas raises on merge without common columns; with everything padded
     // a never-true condition degrades gracefully to the outer union.
@@ -48,20 +46,6 @@ object OuterJoinIntegration extends Integrator {
       if (shared.isEmpty) lit(false)
       else shared.map(j => col("a_" + ValsCol).getItem(j) === col("b_" + ValsCol).getItem(j))
         .reduce(_ && _)
-    val joined = a.join(b, cond, "full_outer")
-    val noTids = lit(Array.empty[String])
-    joined.select(
-      when(col("a_" + ValsCol).isNull, col("b_" + ValsCol))
-        .when(col("b_" + ValsCol).isNull, col("a_" + ValsCol))
-        .otherwise(zip_with(col("a_" + ValsCol), col("b_" + ValsCol),
-                            (x, y) => coalesce(x, y)))
-        .as(ValsCol),
-      (coalesce(col("a_" + CoveredCol), lit(0L))
-        .bitwiseOR(coalesce(col("b_" + CoveredCol), lit(0L)))).as(CoveredCol),
-      array_sort(array_union(coalesce(col("a_" + TabsCol), noTids),
-                             coalesce(col("b_" + TabsCol), noTids))).as(TabsCol),
-      array_sort(array_union(coalesce(col("a_" + TidsCol), noTids),
-                             coalesce(col("b_" + TidsCol), noTids))).as(TidsCol),
-    )
+    prefixed(accDf, "a_").join(prefixed(nextDf, "b_"), cond, "full_outer").select(mergedPair: _*)
   }
 }

@@ -27,17 +27,13 @@ object ParaFD extends Integrator {
       AlignedTuples.forTable(t, df, alignment)
     }
     val folded = aligned.reduceLeft((acc, next) => binaryFd(acc, next, m))
-    IntegratedTable(alignment, folded.select(ValsCol, CoveredCol, TabsCol, TidsCol))
+    IntegratedTable(alignment, folded)
   }
 
   /** FD of exactly two aligned tuple sets. */
   private def binaryFd(a: DataFrame, b: DataFrame, m: Int): DataFrame = {
-    val ka = FullDisjunction.withKeys(a)
-    val kb = FullDisjunction.withKeys(b)
-    val pairs = FullDisjunction.withKeys(FullDisjunction.combineRound(ka, kb, m))
-    val all = ka.unionByName(pairs).unionByName(kb).dropDuplicates("key")
-    FullDisjunction.subsume(FullDisjunction.dedupValues(all), m)
-      .select(ValsCol, CoveredCol, TabsCol, TidsCol)
-      .localCheckpoint()
+    val all = a.unionByName(FullDisjunction.combineRound(a, b, m)).unionByName(b)
+      .dropDuplicates(ValsCol, TidsCol)
+    FullDisjunction.subsume(FullDisjunction.dedupValues(all)).localCheckpoint()
   }
 }

@@ -32,6 +32,9 @@ class DialitePipelineSpec extends SparkSpec {
     val set = dialite.discover(q, Some(q.columns(0)), k = 5)
     val names = set.map(_._1)
     assert(names.distinct == names) // union, no duplicates
+    // A query that is itself a lake table finds itself; it is listed once.
+    val named = dialite.discover(q, Some(q.columns(0)), k = 5, queryName = "cases_p0").map(_._1)
+    assert(named.distinct == named)
   }
 
   test("pipeline integrates discovered tables with ALITE FD") {

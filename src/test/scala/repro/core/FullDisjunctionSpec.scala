@@ -96,6 +96,19 @@ class FullDisjunctionSpec extends SparkSpec {
     assert(out.head.vals == Vector(Some("1"), Some("a"), Some("b"), Some("c"), Some("d")))
   }
 
+  test("values containing separator characters do not collide") {
+    // Joined with \u0001 and null as \u0000, both tuples would read
+    // "a\u0001b\u0001\u0000"; they share no value, so FD keeps both.
+    val in = Seq(
+      LocalTuple(Vector(Some("a\u0001b"), None), 1L, Set("A"), Set("a1")),
+      LocalTuple(Vector(Some("a"), Some("b\u0001\u0000")), 3L, Set("B"), Set("b1")),
+    )
+    val out = FdFixtures.fromDf(
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 2))
+    assert(out.size == 2)
+    assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
+  }
+
   test("closure does not multiply provenance: TID sets stay maximal") {
     val it = FullDisjunction.integrate(PaperTables.fig7(spark))
     val f12 = it.asTable.collect().find(_.getString(1) == "JnJ").get
