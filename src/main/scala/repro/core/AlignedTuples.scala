@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
+import repro.lake.ColumnProfile
+
 /** Outer union of an integration set into integration-ID space.
   *
   * Every input tuple becomes a row of the universal schema:
@@ -66,11 +68,7 @@ object AlignedTuples {
     }
     val vals = array((0 until alignment.numIids).map { iid =>
       byIid.get(iid) match {
-        case Some(c) =>
-          // Trim and null-out empty strings: open data CSVs encode missing
-          // values as "" and the FD must treat them as missing nulls.
-        val v = trim(col(c).cast("string"))
-          when(v.isNull || v === "", lit(null: String)).otherwise(v)
+        case Some(c) => ColumnProfile.cell(col(c)) // "" is a missing null, as in profiling
         case None => lit(null: String).cast("string")
       }
     }: _*)

@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
+
+import repro.lake.ColumnProfile
 import repro.util.Norm
 
 import scala.collection.mutable
@@ -52,37 +54,35 @@ object SchemaMatcher {
   *
   *   - header evidence: Jaccard over header tokens (dummy headers like
   *     `col3` contribute nothing);
-  *   - instance evidence: Jaccard over a sample of distinct normalized
-  *     values.
+  *   - instance evidence: Jaccard over the normalized values of each
+  *     column's bottom-k sample in the shared `ColumnProfile`.
   *
-  * Edges with similarity ≥ `threshold` are processed in descending order
+  * Edges with similarity ≥ `Threshold` are processed in descending order
   * by a union-find that refuses to place two columns of the same table in
   * one cluster — ALITE's hard constraint.
   */
-final class HolisticMatcher(
-    threshold: Double = 0.25,
-    sampleSize: Int = 1000,
-) extends SchemaMatcher {
+final class HolisticMatcher extends SchemaMatcher {
+
+  private val Threshold = 0.25
 
   private final case class Profile(key: ColumnKey, header: String,
                                    tokens: Set[String], values: Set[String],
                                    numeric: Boolean)
 
   override def align(tables: Seq[(String, DataFrame)]): Alignment = {
+    // One action profiles every column; profiles keep the order of `tables`
+    // and their columns. A column without values has no profile row.
+    val samples: Map[ColumnKey, Seq[String]] = ColumnProfile.of(tables)
+      .select(col("table"), col("colIdx"), col("sample")).collect()
+      .map(r => ColumnKey(r.getString(0), r.getInt(1)) -> r.getSeq[String](2)).toMap
     val profiles: Vector[Profile] = tables.toVector.flatMap { case (name, df) =>
       val dataCols = df.columns.zipWithIndex.filterNot { case (c, _) => SchemaMatcher.isTid(c) }
       dataCols.map { case (c, i) =>
-        val vals = df
-          .select(col(df.columns(i)).cast("string").as("v"))
-          .where(col("v").isNotNull)
-          .distinct()
-          .limit(sampleSize)
-          .collect()
-          .map(r => Norm.basic(r.getString(0)))
-          .toSet
+        val key = ColumnKey(name, i)
+        val vals = samples.getOrElse(key, Nil).map(Norm.basic).toSet
         val numeric = vals.nonEmpty &&
           vals.count(_.matches("-?\\d+(\\.\\d+)?")) >= vals.size * 0.8
-        Profile(ColumnKey(name, i), c, Norm.headerTokens(c), vals, numeric)
+        Profile(key, c, Norm.headerTokens(c), vals, numeric)
       }
     }
 
@@ -103,7 +103,7 @@ final class HolisticMatcher(
         val valueSim =
           if (p.numeric && q.numeric && rawValueSim < 0.7) 0.0 else rawValueSim
         val sim = math.max(nameSim, valueSim)
-        if (sim >= threshold) edges += Edge(i, j, sim)
+        if (sim >= Threshold) edges += Edge(i, j, sim)
       }
     }
     val ordered = edges.sortBy(e => (-e.sim, e.a, e.b))

@@ -148,24 +148,25 @@ object FullDisjunction extends Integrator {
 
   /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
     * every non-null value of `t` and has strictly more non-null values.
-    * A dominator must share `t`'s first non-null value, so one equi-join
-    * pairs `t`'s first (position, value) with every (position, value) of
-    * `u`. One join rather than one per attribute: the optimizer pushes a
-    * per-attribute filter below the dedup aggregate, which gives every
-    * such join its own shuffle.
+    * A dominator must share `t`'s first non-null value, so one left
+    * anti-join of `t`'s first (position, value) against every (position,
+    * value) of `u` keeps the undominated rows. One join rather than one per
+    * attribute: the optimizer pushes a per-attribute filter below the dedup
+    * aggregate, which gives every such join its own shuffle. Anti-joining
+    * whole rows reads the aggregate twice, not a third time to drop the
+    * dominated values.
     */
   private[core] def subsume(dedup: DataFrame): DataFrame = {
     val nn = size(filter(col(ValsCol), v => v.isNotNull))
-    val t = dedup.select(col(ValsCol).as("t_vals"), nn.as("t_nn"),
+    val t = dedup.select(col("*"), nn.as("t_nn"),
       (array_position(transform(col(ValsCol), _.isNotNull), true) - 1).as("t_pos"))
     val u = dedup.select(col(ValsCol).as("u_vals"), nn.as("u_nn"),
       posexplode(col(ValsCol)).as(Seq("u_pos", "u_v")))
     val dominates =
-      forall(zip_with(col("t_vals"), col("u_vals"), (x, y) => x.isNull || x === y), identity) &&
+      forall(zip_with(col(ValsCol), col("u_vals"), (x, y) => x.isNull || x === y), identity) &&
         col("u_nn") > col("t_nn")
-    val dominated = t
-      .join(u, col("t_pos") === col("u_pos") && col("t_vals")(col("t_pos")) === col("u_v") && dominates)
-      .select(col("t_vals").as(ValsCol)).distinct()
-    dedup.join(dominated, Seq(ValsCol), "left_anti")
+    t.join(u, col("t_pos") === col("u_pos") && col(ValsCol)(col("t_pos")) === col("u_v") && dominates,
+        "left_anti")
+      .drop("t_nn", "t_pos")
   }
 }

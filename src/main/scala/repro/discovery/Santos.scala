@@ -12,18 +12,17 @@ import repro.util.Norm
   * Offline we substitute YAGO with the lake generator's value→type
   * dictionary (`repro.lake.KnowledgeBase`) — the same mechanism, synthetic
   * facts. A column's semantic type is the majority type of its values
-  * (support ≥ `minSupport`); numbers and percentages get syntactic types.
+  * in a `SampleSize`-row sample (support ≥ `MinSupport`); numbers and
+  * percentages get syntactic types.
   *
   * Score of a candidate = 2·|shared relationship types| + |shared column
   * types|, restricted to relationships involving the intent column's type
   * when an intent column is given.
   */
-final class Santos(
-    lake: DataLake,
-    kb: Map[String, String],
-    minSupport: Double = 0.4,
-    sampleSize: Int = 500,
-) extends Discoverer {
+final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
+
+  private val MinSupport = 0.4
+  private val SampleSize = 500
 
   override def name: String = "santos"
 
@@ -41,13 +40,13 @@ final class Santos(
   private[discovery] def columnTypes(df: DataFrame): Vector[Option[String]] = {
     import org.apache.spark.sql.functions._
     val names = df.columns
-    val sample = df.limit(sampleSize).collect()
+    val sample = df.limit(SampleSize).collect()
     names.indices.map { i =>
       val vals = sample.flatMap(r => Option(r.get(i)).map(_.toString)).filter(_.nonEmpty)
       if (vals.isEmpty) None
       else {
         val typed = vals.flatMap(typeOfValue)
-        if (typed.length < vals.length * minSupport) None
+        if (typed.length < vals.length * MinSupport) None
         else Some(typed.groupBy(identity).maxBy(g => (g._2.length, g._1))._1)
       }
     }.toVector

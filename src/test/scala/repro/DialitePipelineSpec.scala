@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-import repro.core.FullDisjunction
+import repro.core.ColumnKey
 import repro.discovery.{InnerJoinRatio, LshEnsemble, Santos, SimilarityDiscoverer}
 import repro.lake.LakeGen
 
@@ -42,9 +42,11 @@ class DialitePipelineSpec extends SparkSpec {
     val it = dialite.pipeline(q, Some(q.columns(0)), k = 3)
     assert(it.asTable.count() >= q.count())
     // The query's own facts survive integration.
-    val cities = q.collect().flatMap(r => Option(r.getString(0))).toSet
-    val cityIid = it.columnNames.indexWhere(_ => true) // at least one column
-    assert(cityIid >= 0)
+    val cities = q.collect().flatMap(r => Option(r.getString(0)).map(_.trim)).filter(_.nonEmpty).toSet
+    val cityIid = it.alignment.iidOf(ColumnKey("query", 0))
+    val integrated = it.tuples.select(col("vals").getItem(cityIid)).collect()
+      .flatMap(r => Option(r.getString(0))).toSet
+    assert(cities.nonEmpty && cities.subsetOf(integrated), cities.diff(integrated))
   }
 
   test("unknown integrator names are rejected") {

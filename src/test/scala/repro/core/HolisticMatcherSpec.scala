@@ -79,4 +79,31 @@ class HolisticMatcherSpec extends SparkSpec {
     val a2 = matcher.align(PaperTables.fig2(spark))
     assert(a1 == a2)
   }
+
+  test("a column without values keeps its own integration ID") {
+    import spark.implicits._
+    val a = Seq(("Berlin", null: String, "1"), ("Boston", null, "2")).toDF("City", "Notes", "n")
+    val b = Seq(("Berlin", " ", ""), ("Toronto", "", "")).toDF("City", "Remarks", "Blank")
+    val al = matcher.align(Seq("A" -> a, "B" -> b))
+    assert(al.iidOf.size == 6 && al.numIids == 5)
+    assert(al.iidOf(ColumnKey("A", 0)) == al.iidOf(ColumnKey("B", 0)))
+    val empty = Seq(ColumnKey("A", 1), ColumnKey("B", 1), ColumnKey("B", 2)).map(al.iidOf)
+    assert(empty.distinct.size == 3)
+    val rows = AlignedTuples.build(Seq("A" -> a, "B" -> b), al).collect()
+    assert(rows.length == 4)
+    assert(rows.forall(r => empty.forall(r.getSeq[String](0)(_) == null)))
+  }
+
+  test("integer columns split over different partition counts share their sample") {
+    import spark.implicits._
+    // 3,000 shared distinct values: far more than the sample, so only a
+    // consistent sample of both columns shows the overlap.
+    val vals = (0 until 3000).map(_.toString)
+    val a = vals.toDF("col0").repartition(3)
+    val b = vals.reverse.toDF("col1").repartition(7)
+    val al = matcher.align(Seq("A" -> a, "B" -> b))
+    assert(al.numIids == 1)
+    assert(al.iidOf(ColumnKey("A", 0)) == al.iidOf(ColumnKey("B", 0)))
+    assert(matcher.align(Seq("A" -> a, "B" -> b)) == al)
+  }
 }

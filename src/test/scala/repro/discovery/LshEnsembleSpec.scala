@@ -8,7 +8,7 @@ class LshEnsembleSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val gen = LakeGen.generate(spark, sf = 0.01, seed = 7)
-  private lazy val lsh = new LshEnsemble(spark, gen.lake, threshold = 0.3)
+  private lazy val lsh = new LshEnsemble(spark, gen.lake)
 
   test("joinable search finds the vaccination tables for a cases query (City)") {
     val query = gen.lake.table("cases_p0")
@@ -41,7 +41,7 @@ class LshEnsembleSpec extends SparkSpec {
     val big = (0 until 400).map(i => s"k$i").toDF("key")
     val small = (0 until 80).map(i => s"k$i").toDF("key")
     val lake = InMemoryLake(Map("big" -> big))
-    val l = new LshEnsemble(spark, lake, threshold = 0.3)
+    val l = new LshEnsemble(spark, lake)
     val hits = l.discover(small, Some("key"), k = 1)
     assert(hits.nonEmpty && hits.head.score > 0.7, hits.toString)
   }
