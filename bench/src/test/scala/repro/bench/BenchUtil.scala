@@ -1,8 +1,7 @@
 package repro.bench
 
 /** Timing/printing helpers shared by the bench suites. Each suite prints
-  * the paper's rows next to the measured rows so `bench_output.txt` can be
-  * diffed against EXPERIMENTS.md.
+  * its measured rows in the layout of the EXPERIMENTS.md tables.
   */
 object BenchUtil {
 

@@ -99,7 +99,8 @@ class IntegrationScaleBench extends SparkSpec {
     BenchUtil.row("alite-fd", fdRows, nullCells(fd))
     BenchUtil.row("outer-join", ojRows, nullCells(oj))
     // On this key–FK chain the fold is lossless, so the counts agree;
-    // Fig8Bench and ErDownstreamBench show where outer join loses facts.
+    // Fig 8(a) (OuterJoinIntegrationSpec) and ErDownstreamBench show where
+    // outer join loses facts.
     assert(fdRows <= ojRows)
   }
 }

@@ -58,7 +58,7 @@ object AlignedTuples {
   /** Build the outer union for one table. */
   def forTable(table: String, df: DataFrame, alignment: Alignment): DataFrame = {
     val cols = df.columns
-    val tidExpr: Column = cols.find(SchemaMatcher.isTid) match {
+    val tidExpr: Column = cols.find(ColumnProfile.isTid) match {
       case Some(tidCol) => col(tidCol).cast("string")
       case None =>
         concat(lit(table + "#"), monotonically_increasing_id().cast("string"))

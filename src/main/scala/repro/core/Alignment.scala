@@ -41,11 +41,6 @@ trait SchemaMatcher {
   def align(tables: Seq[(String, DataFrame)]): Alignment
 }
 
-object SchemaMatcher {
-  /** True for provenance columns that must not participate in matching. */
-  def isTid(name: String): Boolean = name.equalsIgnoreCase("tid")
-}
-
 /** ALITE-style holistic matcher.
   *
   * The published ALITE matcher embeds columns (fastText + SimCSE) and runs
@@ -70,13 +65,13 @@ final class HolisticMatcher extends SchemaMatcher {
                                    numeric: Boolean)
 
   override def align(tables: Seq[(String, DataFrame)]): Alignment = {
-    // One action profiles every column; profiles keep the order of `tables`
-    // and their columns. A column without values has no profile row.
+    // One action profiles every data column; profiles keep the order of
+    // `tables` and their columns. A column without values has no profile row.
     val samples: Map[ColumnKey, Seq[String]] = ColumnProfile.of(tables)
       .select(col("table"), col("colIdx"), col("sample")).collect()
       .map(r => ColumnKey(r.getString(0), r.getInt(1)) -> r.getSeq[String](2)).toMap
     val profiles: Vector[Profile] = tables.toVector.flatMap { case (name, df) =>
-      val dataCols = df.columns.zipWithIndex.filterNot { case (c, _) => SchemaMatcher.isTid(c) }
+      val dataCols = df.columns.zipWithIndex.filterNot { case (c, _) => ColumnProfile.isTid(c) }
       dataCols.map { case (c, i) =>
         val key = ColumnKey(name, i)
         val vals = samples.getOrElse(key, Nil).map(Norm.basic).toSet

@@ -84,7 +84,9 @@ object FullDisjunction extends Integrator {
   }
 
   /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
-    * Exposed separately so baselines (ParaFD) can share representation.
+    * Exposed for the tests and `IntegrationScaleBench`, which integrate
+    * prepared tuples without a matcher; the ParaFD baseline reuses the
+    * steps (`combineRound`, `dedupValues`, `subsume`), not this entry.
     */
   def integrateAligned(t0: DataFrame, m: Int): DataFrame = {
     require(m >= 1, "no aligned attributes")

@@ -103,30 +103,6 @@ object NaiveFD {
     finish(maximal.map(_.toList.map(ts).reduce(combine)))
   }
 
-  /** The nested-loop variant of `iterative`: every frontier tuple scans
-    * all tuples for partners, the way the NLOJ-based polynomial-delay
-    * iterators of [2] rescan relations. Same output; used as the [2]
-    * baseline in `IntegrationScaleBench`. Quadratic — keep inputs small.
-    */
-  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
-    val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
-    def key(t: LocalTuple) = (t.vals, t.tids)
-    tuples.foreach(t => all(key(t)) = t)
-    var frontier = all.values.toVector
-    while (frontier.nonEmpty) {
-      val next = mutable.ArrayBuffer.empty[LocalTuple]
-      val snapshot = all.values.toVector
-      for (f <- frontier; o <- snapshot) {
-        if (f.tabs.intersect(o.tabs).isEmpty && connected(f, o) && consistent(f, o)) {
-          val c = combine(f, o)
-          if (!all.contains(key(c))) { all(key(c)) = c; next += c }
-        }
-      }
-      frontier = next.toVector
-    }
-    finish(all.values.toVector)
-  }
-
   /** Sequential pairwise-complementation closure — the tuple-at-a-time
     * baseline standing in for Cohen et al. [2] in runtime comparisons.
     * Join partners are looked up through an inverted (attribute, value)
@@ -134,28 +110,53 @@ object NaiveFD {
     * same work as the Spark version, one thread. Output equals
     * `bruteForce`.
     */
-  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = {
-    val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
-    val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
-    def key(t: LocalTuple) = (t.vals, t.tids)
-    def insert(t: LocalTuple): Unit = {
-      all(key(t)) = t
+  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = closure(tuples, new Partners {
+    private val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
+    def add(t: LocalTuple): Unit =
       for (j <- t.vals.indices; v <- t.vals(j))
         index.getOrElseUpdate((j, v), mutable.ArrayBuffer.empty) += t
+    def of(f: LocalTuple): Iterable[LocalTuple] = {
+      val partners = mutable.LinkedHashSet.empty[LocalTuple]
+      for (j <- f.vals.indices; v <- f.vals(j); b <- index.get((j, v))) partners ++= b
+      partners
     }
+  })
+
+  /** The nested-loop variant of `iterative`: every frontier tuple scans
+    * all tuples for partners, the way the NLOJ-based polynomial-delay
+    * iterators of [2] rescan relations. Same output; used as the [2]
+    * baseline in `IntegrationScaleBench`. Quadratic — keep inputs small.
+    */
+  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] = closure(tuples, new Partners {
+    private val seen = mutable.ArrayBuffer.empty[LocalTuple]
+    def add(t: LocalTuple): Unit = seen += t
+    def of(f: LocalTuple): Iterable[LocalTuple] = seen.filter(connected(f, _))
+  })
+
+  /** Where the closure finds a frontier tuple's join partners among the
+    * tuples built so far (`add`ed in insertion order).
+    */
+  private trait Partners {
+    def add(t: LocalTuple): Unit
+    def of(f: LocalTuple): Iterable[LocalTuple]
+  }
+
+  /** The frontier loop of `iterative` and `iterativeScan`: each frontier
+    * tuple combines with every table-disjoint, consistent partner, and each
+    * combination not built before joins the next frontier.
+    */
+  private def closure(tuples: Seq[LocalTuple], partners: Partners): Seq[LocalTuple] = {
+    val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
+    def key(t: LocalTuple) = (t.vals, t.tids)
+    def insert(t: LocalTuple): Unit = { all(key(t)) = t; partners.add(t) }
     tuples.foreach(t => if (!all.contains(key(t))) insert(t))
     var frontier = all.values.toVector
     while (frontier.nonEmpty) {
       val next = mutable.ArrayBuffer.empty[LocalTuple]
-      for (f <- frontier) {
-        val partners = mutable.LinkedHashSet.empty[LocalTuple]
-        for (j <- f.vals.indices; v <- f.vals(j); b <- index.get((j, v)); o <- b)
-          partners += o
-        for (o <- partners) {
-          if (f.tabs.intersect(o.tabs).isEmpty && consistent(f, o)) {
-            val c = combine(f, o)
-            if (!all.contains(key(c))) { insert(c); next += c }
-          }
+      for (f <- frontier; o <- partners.of(f)) {
+        if (f.tabs.intersect(o.tabs).isEmpty && consistent(f, o)) {
+          val c = combine(f, o)
+          if (!all.contains(key(c))) { insert(c); next += c }
         }
       }
       frontier = next.toVector

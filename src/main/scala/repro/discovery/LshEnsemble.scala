@@ -1,7 +1,6 @@
 package repro.discovery
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.lake.{ColumnProfile, DataLake}
@@ -26,19 +25,28 @@ final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer 
 
   override def name: String = "lsh-ensemble"
 
-  /** Offline index: (table, colIdx, colName, size, sig, part). Selecting
-    * no `sample` prunes the profile's sample aggregate.
+  /** Offline index: (table, colIdx, colName, size, sig). Selecting no
+    * `sample` prunes the profile's sample aggregate.
     */
   lazy val index: DataFrame =
     ColumnProfile.of(lake.tables)
       .select(col("table"), col("colIdx"), col("colName"), col("size"), col("sig"))
-      .withColumn("part", ntile(NumPartitions).over(Window.orderBy(col("size"))))
       .cache()
 
-  /** Upper bound of candidate set size per partition (driver-side). */
-  private lazy val partMax: Map[Int, Long] =
-    index.groupBy("part").agg(max("size").as("m")).collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap
+  /** Upper size bound of each equi-depth partition, ascending, computed on
+    * the driver from the index's sizes. The sorted sizes are cut into
+    * `NumPartitions` runs whose lengths differ by at most one, the longer
+    * runs first (as `ntile` cuts them); a run's bound is its largest size.
+    * Ties go to the lower partition: a column belongs to the first
+    * partition whose bound is ≥ its size, so equal sizes never straddle a
+    * cut and pruning is deterministic.
+    */
+  private lazy val partBounds: Seq[Long] = {
+    val sizes = index.select(col("size")).collect().map(_.getLong(0)).sorted
+    val (q, r) = (sizes.length / NumPartitions, sizes.length % NumPartitions)
+    (1 to NumPartitions).map(p => p * q + math.min(p, r))
+      .filter(_ > 0).map(end => sizes(end - 1))
+  }
 
   override def discover(query: DataFrame, queryColumn: Option[String],
                         k: Int): Seq[ScoredTable] = {
@@ -51,10 +59,10 @@ final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer 
     val qSize = qsigRow.getAs[Long]("size")
     val qSig = qsigRow.getSeq[Long](qsigRow.fieldIndex("sig")).toVector
 
-    val keepParts = partMax.collect {
-      case (p, mx) if mx.toDouble / qSize.toDouble >= Threshold => p
-    }.toSeq
-    if (keepParts.isEmpty) return Seq.empty
+    // Pruned partitions are a prefix of the bounds; a column survives iff
+    // its size exceeds the last pruned bound.
+    val (pruned, kept) = partBounds.partition(_.toDouble / qSize.toDouble < Threshold)
+    if (kept.isEmpty) return Seq.empty
 
     val matches = (0 until ColumnProfile.NumPerms)
       .map(i => when(col("sig").getItem(i) === lit(qSig(i)), 1).otherwise(0))
@@ -64,7 +72,7 @@ final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer 
       j * (lit(qSize.toDouble) + col("size")) / ((j + 1.0) * lit(qSize.toDouble)))
 
     index
-      .where(col("part").isin(keepParts: _*))
+      .where(col("size") > pruned.lastOption.getOrElse(0L))
       .select(col("table"), containment.as("c"))
       .groupBy("table").agg(max("c").as("score"))
       .where(col("score") >= Threshold)

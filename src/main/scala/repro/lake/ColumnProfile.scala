@@ -6,7 +6,8 @@ import org.apache.spark.sql.functions._
 /** The one column profile that schema matching and joinable search read,
   * computed by one melt of the tables and one aggregation.
   *
-  * `of` yields one row per (table, column) holding at least one value:
+  * `of` yields one row per (table, data column) holding at least one
+  * value; `TID` provenance columns are not profiled:
   *
   *   - `size`   exact distinct-value count;
   *   - `sig`    MinHash signature, `min(xxhash64(value ⊕ i))` for
@@ -34,10 +35,19 @@ object ColumnProfile {
     when(v =!= "", v)
   }
 
-  /** (table, colIdx, colName, value) rows for every distinct value. */
+  /** True for provenance columns (`TID`, any case): integration carries
+    * them through but never profiles or matches them.
+    */
+  def isTid(name: String): Boolean = name.equalsIgnoreCase("tid")
+
+  /** (table, colIdx, colName, value) rows for every distinct value of a
+    * data column. A `TID` column's cells read as missing, so it keeps its
+    * position in the `posexplode` and the missing-value filter drops it.
+    */
   def melt(table: String, df: DataFrame): DataFrame = {
     val names = df.columns
-    df.select(posexplode(array(names.map(c => cell(col(c))): _*)).as(Seq("colIdx", "value")))
+    val cells = names.map(c => if (isTid(c)) lit(null: String).cast("string") else cell(col(c)))
+    df.select(posexplode(array(cells: _*)).as(Seq("colIdx", "value")))
       .where(col("value").isNotNull)
       .distinct()
       .select(
@@ -48,7 +58,7 @@ object ColumnProfile {
       )
   }
 
-  /** (table, colIdx, colName, size, sig, sample) for every column of
+  /** (table, colIdx, colName, size, sig, sample) for every data column of
     * `tables` that holds a value.
     */
   def of(tables: Seq[(String, DataFrame)]): DataFrame = {

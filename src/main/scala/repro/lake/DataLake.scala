@@ -38,7 +38,7 @@ final case class InMemoryLake(byName: Map[String, DataFrame]) extends DataLake {
 final class ParquetLake(spark: SparkSession, dir: String) extends DataLake {
   override val tableNames: Seq[String] = {
     val root = new java.io.File(dir)
-    require(root.isDirectory, s"no lake at $dir — run GenerateLakeJob first")
+    require(root.isDirectory, s"no lake at $dir — run `repro.jobs.Main lake` first")
     root.listFiles.filter(_.isDirectory).map(_.getName).sorted.toSeq
   }
   override def table(name: String): DataFrame = spark.read.parquet(s"$dir/$name")

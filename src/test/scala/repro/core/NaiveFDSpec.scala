@@ -97,6 +97,8 @@ class NaiveFDSpec extends AnyFunSuite {
         val bf = FdFixtures.canon(NaiveFD.bruteForce(in))
         val it = FdFixtures.canon(NaiveFD.iterative(in))
         assert(it == bf, s"seed=$seed\nin=$in")
+        val scan = FdFixtures.canon(NaiveFD.iterativeScan(in))
+        assert(scan == bf, s"iterativeScan, seed=$seed\nin=$in")
       }
     }
   }

@@ -3,6 +3,7 @@ package repro.lake
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
+import repro.demo.PaperTables
 
 class ColumnProfileSpec extends SparkSpec {
 
@@ -71,5 +72,15 @@ class ColumnProfileSpec extends SparkSpec {
     val all = (0 until n).map(i => s"v$i").toDF("v")
       .select(xxhash64(col("v"))).as[Long].collect().sorted
     assert(hashes == all.take(ColumnProfile.SampleSize).toSeq)
+  }
+
+  test("TID columns are not profiled; data columns keep their position") {
+    val prof = ColumnProfile.of(PaperTables.fig2(spark))
+      .select(col("table"), col("colIdx"), col("colName")).collect()
+      .map(r => (r.getString(0), r.getInt(1), r.getString(2)))
+    assert(!prof.exists(_._3 == "TID"), prof.toSeq)
+    assert(prof.filter(_._1 == "T1").map(p => (p._2, p._3)).toSet ==
+      Set((1, "Country"), (2, "City"), (3, "Vaccination Rate (1+ dose)")))
+    assert(prof.length == 3 + 3 + 3)
   }
 }
