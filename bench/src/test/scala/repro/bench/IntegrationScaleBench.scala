@@ -53,13 +53,12 @@ class IntegrationScaleBench extends SparkSpec {
     for (sf <- Seq(0.002, 0.005, 0.01, 0.02)) {
       val tables = fragments(sf)
       val alignment = new HolisticMatcher().align(tables)
-      val m = alignment.numIids
       val t0 = AlignedTuples.build(tables, alignment).localCheckpoint()
       val nTuples = t0.count()
       val expected = oracleCount(tables)
 
       val (aliteRows, tAlite) = BenchUtil.timed(
-        FullDisjunction.integrateAligned(t0, m).count())
+        FullDisjunction.integrateAligned(t0, tables.size).count())
       BenchUtil.row(sf, nTuples, "alite-spark", f"$tAlite%.1f", aliteRows, aliteRows == expected)
 
       val (paraRows, tPara) = BenchUtil.timed(

@@ -1,10 +1,13 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, PrintStream}
+import java.nio.charset.StandardCharsets.UTF_8
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.Dialite
 import repro.analyze.Analytics
-import repro.core.{FullDisjunction, OuterJoinIntegration}
+import repro.core.{FullDisjunction, IntegratedTable, OuterJoinIntegration}
 import repro.demo.PaperTables
 import repro.discovery.{LshEnsemble, Santos}
 import repro.er.EntityResolver
@@ -52,15 +55,17 @@ object Main {
         System.err.println(Usage)
         sys.exit(2)
     }
+    // The figures print ±, ⊥, — and ⟗: write UTF-8 whatever the locale says.
+    val out = new PrintStream(new FileOutputStream(FileDescriptor.out), true, UTF_8)
     val spark = session(s"dialite-$cmd")
-    try job(spark) finally spark.stop()
+    try Console.withOut(out)(job(spark)) finally { out.flush(); spark.stop() }
   }
 
   private def fig3(spark: SparkSession): Unit = {
     val tables = PaperTables.fig2(spark)
     tables.foreach { case (n, df) => dump(s"Fig 2 — $n", df) }
     val it = FullDisjunction.integrate(tables)
-    dump("Fig 3 — FD(T1, T2, T3) via ALITE", it.rendered)
+    dump("Fig 3 — FD(T1, T2, T3) via ALITE", byTids(it))
   }
 
   private def fig5(prompt: String)(spark: SparkSession): Unit = {
@@ -72,11 +77,11 @@ object Main {
     val tables = PaperTables.fig7(spark)
     tables.foreach { case (n, df) => dump(s"Fig 7 — $n", df) }
     val oj = OuterJoinIntegration.integrate(tables)
-    dump("Fig 8(a) — outer join T4 ⟗ T5 ⟗ T6", oj.rendered)
+    dump("Fig 8(a) — outer join T4 ⟗ T5 ⟗ T6", byTids(oj))
     val fd = FullDisjunction.integrate(tables)
-    dump("Fig 8(b) — FD(T4, T5, T6) via ALITE", fd.rendered)
-    dump("Fig 8(c) — ER over outer join", EntityResolver.resolve(oj).rendered)
-    dump("Fig 8(d) — ER over FD", EntityResolver.resolve(fd).rendered)
+    dump("Fig 8(b) — FD(T4, T5, T6) via ALITE", byTids(fd))
+    dump("Fig 8(c) — ER over outer join", byTids(EntityResolver.resolve(oj)))
+    dump("Fig 8(d) — ER over FD", byTids(EntityResolver.resolve(fd)))
   }
 
   private def example3(spark: SparkSession): Unit = {
@@ -112,7 +117,7 @@ object Main {
     println(s"integration set: ${set.map(_._1).mkString(", ")}")
 
     val it = dialite.integrate(set)
-    dump("integrated table (ALITE FD)", it.rendered.limit(30))
+    dump("integrated table (ALITE FD)", byTids(it).limit(30))
     println(s"integrated rows: ${it.asTable.count()}")
 
     val numericCol = it.columnNames.find(_.toLowerCase.contains("case"))
@@ -128,6 +133,9 @@ object Main {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "16"))
       .getOrCreate()
+
+  /** `it.rendered` in `TIDs` order, so two runs print the same lines. */
+  private def byTids(it: IntegratedTable): DataFrame = it.rendered.orderBy("TIDs")
 
   /** Render a DataFrame fully to stdout (paper tables are small). */
   private def dump(title: String, df: DataFrame): Unit = {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import AlignedTuples._
@@ -49,8 +49,8 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   *
   * Algorithm: pairwise complementation closure grown from the base tuples.
   * Each round joins the frontier (the tuples built last round) against the
-  * base tuples, once per attribute index so Catalyst gets an equi-join key,
-  * keeps consistent table-disjoint pairs and coalesces each into one tuple.
+  * base tuples in one equi-join on a shared (position, value), keeps
+  * consistent table-disjoint pairs and coalesces each into one tuple.
   * Tuples are keyed on their `vals` array (and `tids`) themselves, so no
   * value can collide with an encoding of another. Lineage is cut every
   * round with `localCheckpoint`. Finally, value-identical rows are merged
@@ -65,10 +65,12 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * shares it with some member, so round r builds exactly the valid sets of
   * r+1 base tuples.
   *
-  * Why the loop needs no anti-join and no round cap: every round adds at
-  * least one table to each tuple (joined sides are table-disjoint). So a
-  * round cannot rebuild an earlier generation's tuple, and there are at
-  * most as many productive rounds as tables in the integration set.
+  * Why the loop needs no anti-join and stops after n−1 rounds over n
+  * tables: every round adds one table to each tuple (joined sides are
+  * table-disjoint). So a round cannot rebuild an earlier generation's
+  * tuple, and after round r every frontier tuple spans r+1 tables, so a
+  * round n would find no table-disjoint partner. The loop also stops early
+  * on an empty frontier.
   */
 object FullDisjunction extends Integrator {
 
@@ -80,51 +82,60 @@ object FullDisjunction extends Integrator {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
     val t0 = AlignedTuples.build(tables, alignment)
-    IntegratedTable(alignment, integrateAligned(t0, alignment.numIids))
+    IntegratedTable(alignment, integrateAligned(t0, tables.map(_._1).distinct.size))
   }
 
   /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
     * Exposed for the tests and `IntegrationScaleBench`, which integrate
     * prepared tuples without a matcher; the ParaFD baseline reuses the
     * steps (`combineRound`, `dedupValues`, `subsume`), not this entry.
+    * `tables` is the number of distinct tables in `t0`'s `tabs`; the
+    * closure runs at most `tables − 1` rounds, so a smaller count loses
+    * the larger sets.
     */
-  def integrateAligned(t0: DataFrame, m: Int): DataFrame = {
-    require(m >= 1, "no aligned attributes")
-    subsume(dedupValues(closure(t0, m)))
+  def integrateAligned(t0: DataFrame, tables: Int): DataFrame = {
+    require(tables >= 1, s"table count must be at least 1, got $tables")
+    subsume(dedupValues(closure(t0, tables)))
   }
 
   // ---------------------------------------------------------------- closure
 
   /** Every connected, consistent, table-disjoint set of input tuples as one
     * combined tuple: the union of the base and of each round's frontier.
+    * A tuple of generation r spans r+1 tables, so `tables − 1` rounds
+    * build every set.
     */
-  private def closure(t0: DataFrame, m: Int): DataFrame = {
+  private def closure(t0: DataFrame, tables: Int): DataFrame = {
     val base = t0.dropDuplicates(ValsCol, TidsCol).localCheckpoint()
     var generations = Vector(base)
     var frontier = base
-    while (!frontier.isEmpty) {
-      frontier = combineRound(frontier, base, m).dropDuplicates(ValsCol, TidsCol).localCheckpoint()
+    while (generations.size < tables && !frontier.isEmpty) {
+      frontier = combineRound(frontier, base).dropDuplicates(ValsCol, TidsCol).localCheckpoint()
       generations :+= frontier
     }
     generations.reduce(_ unionByName _)
   }
 
   /** All consistent, connected, table-disjoint pairs of `a` × `b`,
-    * coalesced into combined tuples.
+    * coalesced into combined tuples. One equi-join of each side's non-null
+    * (position, value)s; a pair sharing several values joins once per
+    * shared value, so only the match at its first shared position is kept.
     */
-  private[core] def combineRound(a: DataFrame, b: DataFrame, m: Int): DataFrame = {
-    def av(j: Int): Column = col("a_" + ValsCol).getItem(j)
-    def bv(j: Int): Column = col("b_" + ValsCol).getItem(j)
-    val consistent = (0 until m)
-      .map(j => av(j).isNull || bv(j).isNull || (av(j) === bv(j)))
-      .reduce(_ && _)
+  private[core] def combineRound(a: DataFrame, b: DataFrame): DataFrame = {
+    def exploded(df: DataFrame, p: String): DataFrame =
+      prefixed(df, p)
+        .select(col("*"), posexplode(col(p + ValsCol)).as(Seq(p + "pos", p + "v")))
+        .where(col(p + "v").isNotNull)
+    val (av, bv) = (col("a_" + ValsCol), col("b_" + ValsCol))
+    val consistent =
+      forall(zip_with(av, bv, (x, y) => x.isNull || y.isNull || x === y), identity)
+    val firstShared = array_position(zip_with(av, bv, _ === _), true) - 1
     val tableDisjoint =
       size(array_intersect(col("a_" + TabsCol), col("b_" + TabsCol))) === 0
-    val (pa, pb) = (prefixed(a, "a_"), prefixed(b, "b_"))
-    val perAttr = (0 until m).map { i =>
-      pa.join(pb, (av(i) === bv(i)) && tableDisjoint && consistent)
-    }
-    perAttr.reduce(_ unionAll _).select(mergedPair: _*)
+    exploded(a, "a_").join(exploded(b, "b_"),
+        col("a_pos") === col("b_pos") && col("a_v") === col("b_v") &&
+          tableDisjoint && consistent && col("a_pos") === firstShared)
+      .select(mergedPair: _*)
   }
 
   // ------------------------------------------------- dedup and subsumption

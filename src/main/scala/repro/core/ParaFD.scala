@@ -22,17 +22,16 @@ object ParaFD extends Integrator {
                          matcher: SchemaMatcher): IntegratedTable = {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
-    val m = alignment.numIids
     val aligned = tables.map { case (t, df) =>
       AlignedTuples.forTable(t, df, alignment)
     }
-    val folded = aligned.reduceLeft((acc, next) => binaryFd(acc, next, m))
+    val folded = aligned.reduceLeft(binaryFd)
     IntegratedTable(alignment, folded)
   }
 
   /** FD of exactly two aligned tuple sets. */
-  private def binaryFd(a: DataFrame, b: DataFrame, m: Int): DataFrame = {
-    val all = a.unionByName(FullDisjunction.combineRound(a, b, m)).unionByName(b)
+  private def binaryFd(a: DataFrame, b: DataFrame): DataFrame = {
+    val all = a.unionByName(FullDisjunction.combineRound(a, b)).unionByName(b)
       .dropDuplicates(ValsCol, TidsCol)
     FullDisjunction.subsume(FullDisjunction.dedupValues(all)).localCheckpoint()
   }

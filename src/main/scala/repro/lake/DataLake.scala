@@ -2,6 +2,8 @@ package repro.lake
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import scala.collection.mutable
+
 /** Discovery ground truth recorded by the lake generator.
   *
   * @param unionable query table -> tables a perfect unionable search returns
@@ -41,7 +43,10 @@ final class ParquetLake(spark: SparkSession, dir: String) extends DataLake {
     require(root.isDirectory, s"no lake at $dir — run `repro.jobs.Main lake` first")
     root.listFiles.filter(_.isDirectory).map(_.getName).sorted.toSeq
   }
-  override def table(name: String): DataFrame = spark.read.parquet(s"$dir/$name")
+  // One read per table: each `read.parquet` runs a schema-inference job.
+  private val byName = mutable.Map.empty[String, DataFrame]
+  override def table(name: String): DataFrame =
+    byName.synchronized(byName.getOrElseUpdate(name, spark.read.parquet(s"$dir/$name")))
 }
 
 object ParquetLake {

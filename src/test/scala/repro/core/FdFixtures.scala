@@ -35,6 +35,9 @@ object FdFixtures {
       )
     }.toSet
 
+  /** Number of distinct source tables: the round bound `integrateAligned` takes. */
+  def tableCount(ts: Iterable[LocalTuple]): Int = ts.flatMap(_.tabs).toSet.size
+
   /** Comparable view (vals + provenance + null-kind mask). */
   def canon(ts: Iterable[LocalTuple]): Set[(Vector[Option[String]], Set[String], Long)] =
     ts.map(t => (t.vals, t.tids, t.covered)).toSet

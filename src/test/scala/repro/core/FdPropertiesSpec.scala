@@ -10,10 +10,9 @@ class FdPropertiesSpec extends SparkSpec {
   private def check(seed: Long): Unit = {
     val in = FdFixtures.randomInstance(seed)
     if (in.nonEmpty) {
-      val m = in.head.vals.size
       val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
       val got = FdFixtures.canon(FdFixtures.fromDf(
-        FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), m)))
+        FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), FdFixtures.tableCount(in))))
       assert(got == expected, s"seed=$seed\ninput=${in.mkString("\n")}")
     }
   }
@@ -31,11 +30,11 @@ class FdPropertiesSpec extends SparkSpec {
 
   test("Spark FD is deterministic across runs") {
     val in = FdFixtures.randomInstance(777)
-    val m = in.head.vals.size
+    val n = FdFixtures.tableCount(in)
     val r1 = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), m)))
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), n)))
     val r2 = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), m)))
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), n)))
     assert(r1 == r2)
   }
 }

@@ -70,7 +70,7 @@ class FullDisjunctionSpec extends SparkSpec {
     val local = FdFixtures.fromDf(t0).toSeq
     val expected = FdFixtures.canon(NaiveFD.bruteForce(local))
     val got = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(t0, alignment.numIids)))
+      FullDisjunction.integrateAligned(t0, FdFixtures.tableCount(local))))
     assert(got == expected)
   }
 
@@ -90,10 +90,30 @@ class FullDisjunctionSpec extends SparkSpec {
       LocalTuple(Vector(None, None, Some("b"), Some("c"), None), 0xc, Set("T2"), Set("x2")),
       LocalTuple(Vector(None, None, None, Some("c"), Some("d")), 0x18, Set("T3"), Set("x3")),
     )
+    // 4 tables: the full chain needs all n−1 = 3 rounds.
     val out = FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 5))
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), FdFixtures.tableCount(in)))
+    assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
     assert(out.map(_.tids) == Set(Set("x0", "x1", "x2", "x3")))
     assert(out.head.vals == Vector(Some("1"), Some("a"), Some("b"), Some("c"), Some("d")))
+  }
+
+  test("combineRound emits a pair sharing two values once, before any dedup") {
+    val a = FdFixtures.toDf(spark, Seq(
+      LocalTuple(Vector(Some("k"), Some("v"), Some("x")), 7L, Set("A"), Set("a1"))))
+    val b = FdFixtures.toDf(spark, Seq(
+      LocalTuple(Vector(Some("k"), Some("v"), None), 3L, Set("B"), Set("b1"))))
+    val pairs = FullDisjunction.combineRound(a, b).collect()
+    assert(pairs.length == 1)
+    val p = pairs.head
+    assert(p.getSeq[String](p.fieldIndex(AlignedTuples.ValsCol)) == Seq("k", "v", "x"))
+    assert(p.getSeq[String](p.fieldIndex(AlignedTuples.TidsCol)) == Seq("a1", "b1"))
+  }
+
+  test("integrateAligned rejects a table count below 1") {
+    val a = FdFixtures.toDf(spark, Seq(LocalTuple(Vector(Some("x")), 1L, Set("A"), Set("a1"))))
+    val e = intercept[IllegalArgumentException](FullDisjunction.integrateAligned(a, 0))
+    assert(e.getMessage.contains("table count must be at least 1, got 0"))
   }
 
   test("values containing separator characters do not collide") {

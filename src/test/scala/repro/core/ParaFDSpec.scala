@@ -18,7 +18,7 @@ class ParaFDSpec extends SparkSpec {
     // Fold by hand through the public integrate() on real tables instead:
     // build two one-table DataFrames via fixtures and compare canon sets.
     val alite = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 3)))
+      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 2)))
     val local = FdFixtures.canon(NaiveFD.bruteForce(in))
     assert(alite == local)
   }
@@ -53,13 +53,12 @@ class ParaFDSpec extends SparkSpec {
       val in = FdFixtures.randomInstance(seed * 31 + 5).filter(t =>
         t.tabs.head == "T0" || t.tabs.head == "T1")
       if (in.nonEmpty && in.exists(_.tabs.head == "T1")) {
-        val m = in.head.vals.size
         val t0 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T0"))
         val t1 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T1"))
         if (!in.filter(_.tabs.head == "T0").isEmpty) {
           val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
           val pf = FullDisjunction.integrateAligned(
-            FdFixtures.toDf(spark, in), m) // ALITE on 2 tables == binary FD
+            FdFixtures.toDf(spark, in), FdFixtures.tableCount(in)) // ALITE on 2 tables == binary FD
           assert(FdFixtures.canon(FdFixtures.fromDf(pf)) == expected, s"seed=$seed")
         }
       }
