@@ -38,7 +38,7 @@ class ErDownstreamBench extends SparkSpec {
       fdTotal += fdC; ojTotal += ojC
       assert(fdC >= ojC, s"trio $t: FD completed $fdC < outer join $ojC")
     }
-    println(s"paper (shape): FD ≥ outer join on completed entities — " +
+    println(s"paper (shape): FD >= outer join on completed entities - " +
       s"measured $fdTotal vs $ojTotal")
     assert(fdTotal >= ojTotal && fdTotal > 0)
   }

@@ -53,19 +53,20 @@ class IntegrationScaleBench extends SparkSpec {
     for (sf <- Seq(0.002, 0.005, 0.01, 0.02)) {
       val tables = fragments(sf)
       val alignment = new HolisticMatcher().align(tables)
-      val t0 = AlignedTuples.build(tables, alignment).localCheckpoint()
-      val nTuples = t0.count()
+      // Checkpointed, so every algorithm reads the same generated TIDs.
+      val perTable = AlignedTuples.perTable(tables, alignment).map(_.localCheckpoint())
+      val local = perTable.flatMap(FdFixtures.fromDf).toVector
+      val nTuples = local.size
       val expected = oracleCount(tables)
 
       val (aliteRows, tAlite) = BenchUtil.timed(
-        FullDisjunction.integrateAligned(t0, tables.size).count())
+        FullDisjunction.integrateAligned(perTable).count())
       BenchUtil.row(sf, nTuples, "alite-spark", f"$tAlite%.1f", aliteRows, aliteRows == expected)
 
       val (paraRows, tPara) = BenchUtil.timed(
-        ParaFD.integrate(tables).tuples.count())
+        ParaFD.integrateAligned(perTable).count())
       BenchUtil.row(sf, nTuples, "parafd-spark", f"$tPara%.1f", paraRows, paraRows == expected)
 
-      val local = FdFixtures.fromDf(t0).toVector
       val (idxRows, tIdx) = BenchUtil.timed(NaiveFD.iterative(local).size.toLong)
       BenchUtil.row(sf, nTuples, "fd-indexed", f"$tIdx%.1f", idxRows, idxRows == expected)
 

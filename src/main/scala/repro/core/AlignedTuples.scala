@@ -89,9 +89,13 @@ object AlignedTuples {
     ).where(exists(col(ValsCol), v => v.isNotNull)) // all-null rows carry no fact
   }
 
+  /** One `forTable` frame per table of the integration set, in order. */
+  def perTable(tables: Seq[(String, DataFrame)], alignment: Alignment): Seq[DataFrame] =
+    tables.map { case (t, df) => forTable(t, df, alignment) }
+
   /** Outer union of the whole integration set. */
   def build(tables: Seq[(String, DataFrame)], alignment: Alignment): DataFrame =
-    tables.map { case (t, df) => forTable(t, df, alignment) }.reduce(_.unionAll(_))
+    perTable(tables, alignment).reduce(_.unionAll(_))
 }
 
 /** A tuple of the universal (integration-ID) schema held on the driver.

@@ -22,12 +22,14 @@ final case class ColumnKey(table: String, index: Int)
 final case class Alignment(iidOf: Map[ColumnKey, Int], names: Vector[String]) {
   def numIids: Int = names.length
 
-  /** Integration IDs covered by `table`, as a bitmask (used for the
-    * ± missing-null vs ⊥ produced-null distinction in FD output).
+  /** Integration IDs `table` has a column for. */
+  def iids(table: String): Set[Int] =
+    iidOf.collect { case (ColumnKey(t, _), iid) if t == table => iid }.toSet
+
+  /** `iids(table)` as a bitmask (used for the ± missing-null vs ⊥
+    * produced-null distinction in FD output).
     */
-  def coverage(table: String): Long =
-    iidOf.collect { case (ColumnKey(t, _), iid) if t == table => 1L << iid }
-      .foldLeft(0L)(_ | _)
+  def coverage(table: String): Long = iids(table).foldLeft(0L)((m, iid) => m | (1L << iid))
 }
 
 /** Holistic schema matcher: assigns the same integration ID to matching

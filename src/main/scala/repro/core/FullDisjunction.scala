@@ -54,8 +54,9 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * Tuples are keyed on their `vals` array (and `tids`) themselves, so no
   * value can collide with an encoding of another. Lineage is cut every
   * round with `localCheckpoint`. Finally, value-identical rows are merged
-  * (keeping maximal TID-sets) and dominated rows removed by one subsumption
-  * join.
+  * (the union of their TID sets, which equals the union of the maximal
+  * ones) and dominated rows removed by one subsumption join. `ParaFD` and
+  * `NaiveFD.iterative` reuse this shape.
   *
   * Why growing from the base is enough: a connected, consistent set can be
   * built one base tuple at a time in BFS order of its connection graph, and
@@ -81,21 +82,18 @@ object FullDisjunction extends Integrator {
                          matcher: SchemaMatcher): IntegratedTable = {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
-    val t0 = AlignedTuples.build(tables, alignment)
-    IntegratedTable(alignment, integrateAligned(t0, tables.map(_._1).distinct.size))
+    IntegratedTable(alignment, integrateAligned(AlignedTuples.perTable(tables, alignment)))
   }
 
-  /** FD over an already-aligned outer union (`AlignedTuples.build` shape).
-    * Exposed for the tests and `IntegrationScaleBench`, which integrate
-    * prepared tuples without a matcher; the ParaFD baseline reuses the
-    * steps (`combineRound`, `dedupValues`, `subsume`), not this entry.
-    * `tables` is the number of distinct tables in `t0`'s `tabs`; the
-    * closure runs at most `tables − 1` rounds, so a smaller count loses
-    * the larger sets.
+  /** FD over an integration set's aligned tuples, one frame per table (each
+    * `AlignedTuples.forTable`). A set holds at most one tuple per table, so
+    * the closure runs at most `perTable.size − 1` rounds. Exposed for the
+    * tests and `IntegrationScaleBench`, which integrate prepared tuples
+    * without a matcher.
     */
-  def integrateAligned(t0: DataFrame, tables: Int): DataFrame = {
-    require(tables >= 1, s"table count must be at least 1, got $tables")
-    subsume(dedupValues(closure(t0, tables)))
+  def integrateAligned(perTable: Seq[DataFrame]): DataFrame = {
+    require(perTable.nonEmpty, "integrateAligned needs the tuples of at least one table")
+    subsume(dedupValues(closure(perTable.reduce(_ unionAll _), perTable.size)))
   }
 
   // ---------------------------------------------------------------- closure
@@ -140,24 +138,14 @@ object FullDisjunction extends Integrator {
 
   // ------------------------------------------------- dedup and subsumption
 
-  /** Keep the union of ⊆-maximal TID-sets among value-identical tuples:
-    * the closure materializes every connected consistent subset, but FD is
-    * defined over maximal sets only.
+  /** Merge value-identical tuples: coverage ORed, tables and TIDs unioned.
+    * FD keeps the maximal sets only, but the union of a group's TID sets
+    * equals the union of its maximal ones: every set lies inside one.
     */
-  private val mergeMaximalTidSets = udf { (tidsets: Seq[Seq[String]]) =>
-    val sets = tidsets.map(_.toSet).distinct
-    val maximal = sets.filter(s => !sets.exists(t => t != s && s.subsetOf(t)))
-    maximal.flatten.distinct.sorted
+  private[core] def dedupValues(closed: DataFrame): DataFrame = {
+    def union(c: String) = array_sort(array_distinct(flatten(collect_list(c)))).as(c)
+    closed.groupBy(ValsCol).agg(expr(s"bit_or($CoveredCol)").as(CoveredCol), union(TabsCol), union(TidsCol))
   }
-
-  private[core] def dedupValues(closed: DataFrame): DataFrame =
-    closed
-      .groupBy(ValsCol)
-      .agg(
-        expr(s"bit_or($CoveredCol)").as(CoveredCol),
-        array_sort(array_distinct(flatten(collect_list(TabsCol)))).as(TabsCol),
-        mergeMaximalTidSets(collect_list(TidsCol)).as(TidsCol),
-      )
 
   /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
     * every non-null value of `t` and has strictly more non-null values.

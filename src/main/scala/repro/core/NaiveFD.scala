@@ -8,9 +8,10 @@ import scala.collection.mutable
   * *independent correctness reference* for the Spark implementation
   * (property tests compare them on random instances).
   *
-  * `iterative` is a sequential tuple-at-a-time closure standing in for the
-  * polynomial-delay FD iterators of Cohen et al. [2] in the runtime
-  * comparison benches: same output, single-threaded, no Spark.
+  * `iterative` and `iterativeScan` run `FullDisjunction`'s closure
+  * tuple-at-a-time on one thread, standing in for the polynomial-delay FD
+  * iterators of Cohen et al. [2] in the runtime comparison benches: same
+  * rounds grown from the base, same dedup and subsumption, same output.
   */
 object NaiveFD {
 
@@ -35,29 +36,30 @@ object NaiveFD {
     u.nonNullCount > t.nonNullCount &&
       t.vals.indices.forall(j => t.vals(j).isEmpty || t.vals(j) == u.vals(j))
 
-  /** Merge value-identical results keeping the union of ⊆-maximal TID sets,
-    * then drop value-dominated rows — identical post-processing to the
-    * Spark implementation so outputs are directly comparable.
+  /** Merge value-identical results (the union of their TID sets, which
+    * equals the union of the maximal ones), then drop value-dominated rows —
+    * identical post-processing to the Spark implementation so outputs are
+    * directly comparable.
     */
   private def finish(results: Seq[LocalTuple]): Seq[LocalTuple] = {
     val byVals = results.groupBy(_.vals).map { case (vals, group) =>
-      val sets = group.map(_.tids).distinct
-      val maximal = sets.filter(s => !sets.exists(t => t != s && s.subsetOf(t)))
       LocalTuple(vals, group.map(_.covered).reduce(_ | _),
-        group.flatMap(_.tabs).toSet, maximal.flatten.toSet)
+        group.flatMap(_.tabs).toSet, group.flatMap(_.tids).toSet)
     }.toVector
-    // Subsumption through an inverted index (a dominator must share the
-    // dominated tuple's first non-null value) — keeps the baseline usable
-    // at benchmark sizes.
-    val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
-    for (t <- byVals; j <- t.vals.indices; v <- t.vals(j))
-      index.getOrElseUpdate((j, v), mutable.ArrayBuffer.empty) += t
+    // A dominator must share the dominated tuple's first non-null value.
+    val index = byValue(byVals)
     byVals.filter { t =>
       val fj = t.vals.indexWhere(_.isDefined)
-      val candidates = index.getOrElse((fj, t.vals(fj).get), Nil)
-      !candidates.exists(u => u.vals != t.vals && dominates(u, t))
-    }.sortBy(_.vals.map(_.getOrElse("")).mkString(""))
+      !index((fj, t.vals(fj).get)).exists(dominates(_, t))
+    }.sortBy(_.vals.map(_.getOrElse("")).mkString(""))
   }
+
+  /** Tuples by each non-null (attribute, value) they hold: an inverted
+    * index that keeps the baselines usable at benchmark sizes.
+    */
+  private def byValue(ts: Seq[LocalTuple]): Map[(Int, String), Seq[LocalTuple]] =
+    ts.flatMap(t => t.vals.zipWithIndex.collect { case (Some(v), j) => (j, v) -> t })
+      .groupMap(_._1)(_._2)
 
   /** Exponential reference: every maximal valid subset of tuples.
     * Valid = ≤1 tuple per table, pairwise consistent, connected.
@@ -97,64 +99,46 @@ object NaiveFD {
     finish(maximal.map(_.toList.map(ts).reduce(combine)))
   }
 
-  /** Sequential pairwise-complementation closure — the tuple-at-a-time
-    * baseline standing in for Cohen et al. [2] in runtime comparisons.
-    * Join partners are looked up through an inverted (attribute, value)
-    * index, so the cost is proportional to the number of joining pairs —
-    * same work as the Spark version, one thread. Output equals
+  /** The closure with partners looked up in an inverted (attribute, value)
+    * index over the base, so the cost is proportional to the number of
+    * joining pairs: the Spark closure's work on one thread. Output equals
     * `bruteForce`.
     */
-  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = closure(tuples, new Partners {
-    private val index = mutable.Map.empty[(Int, String), mutable.ArrayBuffer[LocalTuple]]
-    def add(t: LocalTuple): Unit =
-      for (j <- t.vals.indices; v <- t.vals(j))
-        index.getOrElseUpdate((j, v), mutable.ArrayBuffer.empty) += t
-    def of(f: LocalTuple): Iterable[LocalTuple] = {
-      val partners = mutable.LinkedHashSet.empty[LocalTuple]
-      for (j <- f.vals.indices; v <- f.vals(j); b <- index.get((j, v))) partners ++= b
-      partners
-    }
-  })
+  def iterative(tuples: Seq[LocalTuple]): Seq[LocalTuple] = closure(tuples) { base =>
+    val index = byValue(base)
+    f => f.vals.indices.flatMap(j => f.vals(j).toSeq.flatMap(v => index.getOrElse((j, v), Nil))).distinct
+  }
 
   /** The nested-loop variant of `iterative`: every frontier tuple scans
-    * all tuples for partners, the way the NLOJ-based polynomial-delay
+    * all base tuples for partners, the way the NLOJ-based polynomial-delay
     * iterators of [2] rescan relations. Same output; used as the [2]
     * baseline in `IntegrationScaleBench`. Quadratic — keep inputs small.
     */
-  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] = closure(tuples, new Partners {
-    private val seen = mutable.ArrayBuffer.empty[LocalTuple]
-    def add(t: LocalTuple): Unit = seen += t
-    def of(f: LocalTuple): Iterable[LocalTuple] = seen.filter(connected(f, _))
-  })
+  def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] =
+    closure(tuples)(base => f => base.filter(connected(f, _)))
 
-  /** Where the closure finds a frontier tuple's join partners among the
-    * tuples built so far (`add`ed in insertion order).
+  /** `FullDisjunction`'s closure over local tuples: each round combines every
+    * frontier tuple with each table-disjoint, consistent partner among the
+    * deduplicated base tuples (`partnersIn(base)` finds the ones sharing a
+    * value), and the distinct combinations form the next frontier. Round r
+    * builds exactly the valid sets of r+1 base tuples (see
+    * `FullDisjunction`), so no round rebuilds an earlier one's tuple and
+    * the frontier empties after at most n−1 rounds over n tables.
     */
-  private trait Partners {
-    def add(t: LocalTuple): Unit
-    def of(f: LocalTuple): Iterable[LocalTuple]
-  }
-
-  /** The frontier loop of `iterative` and `iterativeScan`: each frontier
-    * tuple combines with every table-disjoint, consistent partner, and each
-    * combination not built before joins the next frontier.
-    */
-  private def closure(tuples: Seq[LocalTuple], partners: Partners): Seq[LocalTuple] = {
-    val all = mutable.LinkedHashMap.empty[(Vector[Option[String]], Set[String]), LocalTuple]
-    def key(t: LocalTuple) = (t.vals, t.tids)
-    def insert(t: LocalTuple): Unit = { all(key(t)) = t; partners.add(t) }
-    tuples.foreach(t => if (!all.contains(key(t))) insert(t))
-    var frontier = all.values.toVector
+  private def closure(tuples: Seq[LocalTuple])(
+      partnersIn: Seq[LocalTuple] => LocalTuple => Iterable[LocalTuple]): Seq[LocalTuple] = {
+    def distinctTuples(ts: Seq[LocalTuple]) = ts.distinctBy(t => (t.vals, t.tids))
+    val base = distinctTuples(tuples)
+    val partners = partnersIn(base)
+    val built = Vector.newBuilder[LocalTuple]
+    var frontier = base
     while (frontier.nonEmpty) {
-      val next = mutable.ArrayBuffer.empty[LocalTuple]
-      for (f <- frontier; o <- partners.of(f)) {
-        if (f.tabs.intersect(o.tabs).isEmpty && consistent(f, o)) {
-          val c = combine(f, o)
-          if (!all.contains(key(c))) { insert(c); next += c }
-        }
-      }
-      frontier = next.toVector
+      built ++= frontier
+      frontier = distinctTuples(for {
+        f <- frontier
+        b <- partners(f) if f.tabs.intersect(b.tabs).isEmpty && consistent(f, b)
+      } yield combine(f, b))
     }
-    finish(all.values.toVector)
+    finish(built.result())
   }
 }

@@ -22,24 +22,21 @@ object OuterJoinIntegration extends Integrator {
                          matcher: SchemaMatcher): IntegratedTable = {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
-    val m = alignment.numIids
     val aligned = tables.map { case (t, df) =>
-      (alignment.coverage(t), AlignedTuples.forTable(t, df, alignment))
+      (alignment.iids(t), AlignedTuples.forTable(t, df, alignment))
     }
     val (_, folded) = aligned.reduceLeft { (acc, next) =>
-      val (accCov, accDf) = acc
-      val (nextCov, nextDf) = next
-      (accCov | nextCov, join(accDf, nextDf, accCov, nextCov, m))
+      val (accIids, accDf) = acc
+      val (nextIids, nextDf) = next
+      (accIids ++ nextIids, join(accDf, nextDf, (accIids & nextIids).toSeq.sorted))
     }
     IntegratedTable(alignment, folded)
   }
 
   /** One fold step: FULL OUTER JOIN on every integration ID both sides
-    * cover, then coalesce into the universal-schema representation.
+    * cover (`shared`), then coalesce into the universal-schema representation.
     */
-  private def join(accDf: DataFrame, nextDf: DataFrame,
-                   accCov: Long, nextCov: Long, m: Int): DataFrame = {
-    val shared = (0 until m).filter(j => (accCov & nextCov & (1L << j)) != 0L)
+  private def join(accDf: DataFrame, nextDf: DataFrame, shared: Seq[Int]): DataFrame = {
     // pandas raises on merge without common columns; with everything padded
     // a never-true condition degrades gracefully to the outer union.
     val cond: Column =

@@ -2,17 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import AlignedTuples._
-
 /** Baseline: Full Disjunction as a left fold of *binary* full disjunctions
   * (the strategy parallelized by Paganelli et al. [10]).
   *
   * A binary FD needs a single combination round (maximal sets contain at
-  * most one tuple per side), so each step is: pairs ∪ both inputs, merge
-  * value-duplicates, drop subsumed. The fold is correct on γ-acyclic
-  * integration sets (which covers the paper's examples and our key–FK lake
-  * families) but, unlike ALITE's closure, is not correct in general — it is
-  * here as the runtime baseline the paper claims ALITE beats.
+  * most one tuple per side), so each step is `FullDisjunction`'s closure
+  * cut to one round: pairs ∪ both inputs, merge value-duplicates, drop
+  * subsumed. The fold is correct on γ-acyclic integration sets (which
+  * covers the paper's examples and our key–FK lake families) but, unlike
+  * ALITE's closure, is not correct in general — it is here as the runtime
+  * baseline the paper claims ALITE beats.
   */
 object ParaFD extends Integrator {
 
@@ -22,17 +21,25 @@ object ParaFD extends Integrator {
                          matcher: SchemaMatcher): IntegratedTable = {
     require(tables.nonEmpty, "integration set is empty")
     val alignment = matcher.align(tables)
-    val aligned = tables.map { case (t, df) =>
-      AlignedTuples.forTable(t, df, alignment)
-    }
-    val folded = aligned.reduceLeft(binaryFd)
-    IntegratedTable(alignment, folded)
+    IntegratedTable(alignment, integrateAligned(AlignedTuples.perTable(tables, alignment)))
   }
 
-  /** FD of exactly two aligned tuple sets. */
-  private def binaryFd(a: DataFrame, b: DataFrame): DataFrame = {
-    val all = a.unionByName(FullDisjunction.combineRound(a, b)).unionByName(b)
-      .dropDuplicates(ValsCol, TidsCol)
-    FullDisjunction.subsume(FullDisjunction.dedupValues(all)).localCheckpoint()
+  /** The fold over an integration set's aligned tuples, one frame per table
+    * (each `AlignedTuples.forTable`) in fold order: the input
+    * `FullDisjunction.integrateAligned` takes. The FD of one table is its
+    * value merge and subsumption, with nothing to combine.
+    */
+  def integrateAligned(perTable: Seq[DataFrame]): DataFrame = {
+    require(perTable.nonEmpty, "integrateAligned needs the tuples of at least one table")
+    if (perTable.size == 1) merged(perTable.head)
+    else perTable.reduceLeft { (a, b) =>
+      merged(a.unionByName(FullDisjunction.combineRound(a, b)).unionByName(b))
+    }
   }
+
+  /** Value-identical tuples merged (which drops exact duplicates too) and
+    * dominated ones dropped.
+    */
+  private def merged(all: DataFrame): DataFrame =
+    FullDisjunction.subsume(FullDisjunction.dedupValues(all)).localCheckpoint()
 }

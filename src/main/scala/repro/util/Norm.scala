@@ -18,7 +18,9 @@ object Norm {
   def alnum(s: String): String =
     if (s == null) null else s.toLowerCase.replaceAll("[^\\p{L}\\p{N}]", "")
 
-  /** Header tokens for name-based column similarity.
+  /** Header tokens for name-based column similarity: the runs of Unicode
+    * letters and digits, as `alnum` keeps them ("Población Total" ->
+    * {población, total}).
     *
     * Dummy headers carry no evidence: open data lakes often ship columns
     * named `col3` / `Unnamed: 0` / empty — those return an empty token set
@@ -28,7 +30,7 @@ object Norm {
     if (header == null) return Set.empty
     val h = header.trim.toLowerCase
     if (h.isEmpty || h.matches("(col|column|field|unnamed|attr|c)[_:\\s]*\\d*")) Set.empty
-    else h.split("[^a-z0-9]+").filter(_.nonEmpty).toSet
+    else h.split("[^\\p{L}\\p{N}]+").filter(_.nonEmpty).toSet
   }
 
   /** Jaccard similarity of two sets; 0 when either is empty. */

@@ -15,8 +15,13 @@ object FdFixtures {
 
   def fromDf(df: DataFrame): Set[LocalTuple] = df.collect().map(LocalTuple.fromRow).toSet
 
-  /** Number of distinct source tables: the round bound `integrateAligned` takes. */
-  def tableCount(ts: Iterable[LocalTuple]): Int = ts.flatMap(_.tabs).toSet.size
+  /** One frame per source table, in first-seen order: the per-table input
+    * `integrateAligned` takes. Every tuple comes from one table.
+    */
+  def byTable(spark: SparkSession, ts: Seq[LocalTuple]): Seq[DataFrame] = {
+    require(ts.forall(_.tabs.size == 1), "byTable splits single-table tuples")
+    ts.map(_.tabs.head).distinct.map(t => toDf(spark, ts.filter(_.tabs.head == t)))
+  }
 
   /** Comparable view (vals + provenance + null-kind mask). */
   def canon(ts: Iterable[LocalTuple]): Set[(Vector[Option[String]], Set[String], Long)] =

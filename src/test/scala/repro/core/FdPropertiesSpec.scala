@@ -12,7 +12,7 @@ class FdPropertiesSpec extends SparkSpec {
     if (in.nonEmpty) {
       val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
       val got = FdFixtures.canon(FdFixtures.fromDf(
-        FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), FdFixtures.tableCount(in))))
+        FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in))))
       assert(got == expected, s"seed=$seed\ninput=${in.mkString("\n")}")
     }
   }
@@ -30,11 +30,10 @@ class FdPropertiesSpec extends SparkSpec {
 
   test("Spark FD is deterministic across runs") {
     val in = FdFixtures.randomInstance(777)
-    val n = FdFixtures.tableCount(in)
     val r1 = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), n)))
+      FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in))))
     val r2 = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), n)))
+      FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in))))
     assert(r1 == r2)
   }
 }

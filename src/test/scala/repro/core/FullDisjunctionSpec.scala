@@ -66,20 +66,19 @@ class FullDisjunctionSpec extends SparkSpec {
 
   test("matches the brute-force reference on the paper's Fig 2 instance") {
     val alignment = new HolisticMatcher().align(PaperTables.fig2(spark))
-    val t0 = AlignedTuples.build(PaperTables.fig2(spark), alignment)
-    val local = FdFixtures.fromDf(t0).toSeq
+    val perTable = AlignedTuples.perTable(PaperTables.fig2(spark), alignment)
+    val local = perTable.flatMap(FdFixtures.fromDf)
     val expected = FdFixtures.canon(NaiveFD.bruteForce(local))
-    val got = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(t0, FdFixtures.tableCount(local))))
+    val got = FdFixtures.canon(FdFixtures.fromDf(FullDisjunction.integrateAligned(perTable)))
     assert(got == expected)
   }
 
   test("empty-intersection tables: FD degrades to the outer union") {
-    val a = FdFixtures.toDf(spark, Seq(
+    val in = Seq(
       LocalTuple(Vector(Some("x"), None), 1L, Set("A"), Set("a1")),
       LocalTuple(Vector(None, Some("y")), 2L, Set("B"), Set("b1")),
-    ))
-    val out = FdFixtures.fromDf(FullDisjunction.integrateAligned(a, 2))
+    )
+    val out = FdFixtures.fromDf(FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))
     assert(out.map(_.tids) == Set(Set("a1"), Set("b1")))
   }
 
@@ -91,8 +90,7 @@ class FullDisjunctionSpec extends SparkSpec {
       LocalTuple(Vector(None, None, None, Some("c"), Some("d")), 0x18, Set("T3"), Set("x3")),
     )
     // 4 tables: the full chain needs all n−1 = 3 rounds.
-    val out = FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), FdFixtures.tableCount(in)))
+    val out = FdFixtures.fromDf(FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))
     assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
     assert(out.map(_.tids) == Set(Set("x0", "x1", "x2", "x3")))
     assert(out.head.vals == Vector(Some("1"), Some("a"), Some("b"), Some("c"), Some("d")))
@@ -110,10 +108,9 @@ class FullDisjunctionSpec extends SparkSpec {
     assert(p.getSeq[String](p.fieldIndex(AlignedTuples.TidsCol)) == Seq("a1", "b1"))
   }
 
-  test("integrateAligned rejects a table count below 1") {
-    val a = FdFixtures.toDf(spark, Seq(LocalTuple(Vector(Some("x")), 1L, Set("A"), Set("a1"))))
-    val e = intercept[IllegalArgumentException](FullDisjunction.integrateAligned(a, 0))
-    assert(e.getMessage.contains("table count must be at least 1, got 0"))
+  test("integrateAligned rejects an empty table list") {
+    val e = intercept[IllegalArgumentException](FullDisjunction.integrateAligned(Nil))
+    assert(e.getMessage.contains("integrateAligned needs the tuples of at least one table"))
   }
 
   test("values containing separator characters do not collide") {
@@ -123,8 +120,7 @@ class FullDisjunctionSpec extends SparkSpec {
       LocalTuple(Vector(Some("a\u0001b"), None), 1L, Set("A"), Set("a1")),
       LocalTuple(Vector(Some("a"), Some("b\u0001\u0000")), 3L, Set("B"), Set("b1")),
     )
-    val out = FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 2))
+    val out = FdFixtures.fromDf(FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))
     assert(out.size == 2)
     assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
   }
@@ -133,5 +129,20 @@ class FullDisjunctionSpec extends SparkSpec {
     val it = FullDisjunction.integrate(PaperTables.fig7(spark))
     val f12 = it.asTable.collect().find(_.getString(1) == "JnJ").get
     assert(f12.getSeq[String](f12.fieldIndex("TIDs")).toSet == Set("t12", "t14", "t16"))
+  }
+
+  test("value-identical maximal sets merge into the union of their TIDs") {
+    // a1 and a2 are identical rows of A and b1 joins both: {a1, b1} and
+    // {a2, b1} are two maximal sets with the same values, so one row.
+    val in = Seq(
+      LocalTuple(Vector(Some("x"), Some("1"), None), 3L, Set("A"), Set("a1")),
+      LocalTuple(Vector(Some("x"), Some("1"), None), 3L, Set("A"), Set("a2")),
+      LocalTuple(Vector(Some("x"), None, Some("2")), 5L, Set("B"), Set("b1")),
+    )
+    val expected = Set((Vector(Some("x"), Some("1"), Some("2")), Set("a1", "a2", "b1"), 7L))
+    assert(FdFixtures.canon(NaiveFD.bruteForce(in)) == expected)
+    assert(FdFixtures.canon(NaiveFD.iterative(in)) == expected)
+    assert(FdFixtures.canon(FdFixtures.fromDf(
+      FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))) == expected)
   }
 }

@@ -59,6 +59,7 @@ class HolisticMatcherSpec extends SparkSpec {
     assert((a.coverage("T4") & (1L << v)) != 0)
     assert((a.coverage("T4") & (1L << ap)) != 0)
     assert(a.coverage("T4") == ((1L << v) | (1L << ap)))
+    assert(a.iids("T4") == Set(v, ap))
   }
 
   test("disjoint tables get disjoint integration IDs") {

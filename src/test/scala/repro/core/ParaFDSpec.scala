@@ -15,12 +15,20 @@ class ParaFDSpec extends SparkSpec {
       LocalTuple(Vector(None, Some("a"), Some("p")), 0x6, Set("T1"), Set("y0")),
       LocalTuple(Vector(None, Some("c"), Some("q")), 0x6, Set("T1"), Set("y1")),
     )
-    // Fold by hand through the public integrate() on real tables instead:
-    // build two one-table DataFrames via fixtures and compare canon sets.
-    val alite = FdFixtures.canon(FdFixtures.fromDf(
-      FullDisjunction.integrateAligned(FdFixtures.toDf(spark, in), 2)))
+    val para = FdFixtures.canon(FdFixtures.fromDf(ParaFD.integrateAligned(FdFixtures.byTable(spark, in))))
     val local = FdFixtures.canon(NaiveFD.bruteForce(in))
-    assert(alite == local)
+    assert(para == local)
+  }
+
+  test("a single table merges value-identical rows and drops subsumed ones") {
+    val in = Seq(
+      LocalTuple(Vector(Some("x"), Some("1")), 3L, Set("A"), Set("a1")),
+      LocalTuple(Vector(Some("x"), Some("1")), 3L, Set("A"), Set("a2")),
+      LocalTuple(Vector(Some("x"), None), 3L, Set("A"), Set("a3")),
+    )
+    val para = FdFixtures.canon(FdFixtures.fromDf(ParaFD.integrateAligned(FdFixtures.byTable(spark, in))))
+    assert(para == Set((Vector(Some("x"), Some("1")), Set("a1", "a2"), 3L)))
+    assert(para == FdFixtures.canon(NaiveFD.bruteForce(in)))
   }
 
   test("equals ALITE FD on TPC-H-style key–FK fragments") {
@@ -52,15 +60,10 @@ class ParaFDSpec extends SparkSpec {
     for (seed <- 1 to 10) {
       val in = FdFixtures.randomInstance(seed * 31 + 5).filter(t =>
         t.tabs.head == "T0" || t.tabs.head == "T1")
-      if (in.nonEmpty && in.exists(_.tabs.head == "T1")) {
-        val t0 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T0"))
-        val t1 = FdFixtures.toDf(spark, in.filter(_.tabs.head == "T1"))
-        if (!in.filter(_.tabs.head == "T0").isEmpty) {
-          val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
-          val pf = FullDisjunction.integrateAligned(
-            FdFixtures.toDf(spark, in), FdFixtures.tableCount(in)) // ALITE on 2 tables == binary FD
-          assert(FdFixtures.canon(FdFixtures.fromDf(pf)) == expected, s"seed=$seed")
-        }
+      if (in.exists(_.tabs.head == "T0") && in.exists(_.tabs.head == "T1")) {
+        val expected = FdFixtures.canon(NaiveFD.bruteForce(in))
+        val pf = ParaFD.integrateAligned(FdFixtures.byTable(spark, in))
+        assert(FdFixtures.canon(FdFixtures.fromDf(pf)) == expected, s"seed=$seed")
       }
     }
   }

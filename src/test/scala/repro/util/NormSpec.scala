@@ -28,6 +28,11 @@ class NormSpec extends AnyFunSuite {
     assert(Norm.headerTokens("Total Cases") == Set("total", "cases"))
   }
 
+  test("headerTokens keeps non-ASCII letters and digits") {
+    assert(Norm.headerTokens("Población Total") == Set("población", "total"))
+    assert(Norm.headerTokens("都市") == Set("都市"))
+  }
+
   test("dummy headers yield no tokens") {
     assert(Norm.headerTokens("col3").isEmpty)
     assert(Norm.headerTokens("Unnamed: 0").isEmpty)
