@@ -3,12 +3,14 @@ package repro.analyze
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
+import repro.lake.ColumnProfile
+
 /** The "Analyze" stage (§2.3): aggregations and statistics over an
   * integrated table — the queries that "go beyond the single tables".
   */
 object Analytics {
 
-  private def num(c: String): Column = ValueParser.numeric(col(c))
+  private def num(c: String): Column = ValueParser.numeric(ColumnProfile.column(c))
 
   /** Pearson correlation between two (string-valued) numeric columns,
     * over rows where both parse (Example 3).
@@ -25,20 +27,22 @@ object Analytics {
   def argExtreme(df: DataFrame, labelCol: String, valueCol: String,
                  smallest: Boolean): Option[(String, Double)] = {
     val parsed = df
-      .select(col(labelCol).as("label"), num(valueCol).as("v"))
+      .select(ColumnProfile.column(labelCol).as("label"), num(valueCol).as("v"))
       .where(col("v").isNotNull && col("label").isNotNull)
     parsed.orderBy(if (smallest) asc("v") else desc("v"), asc("label"))
       .limit(1).collect().headOption.map(r => (r.getString(0), r.getDouble(1)))
   }
 
   /** Count / mean / min / max per requested column (the demo's "common
-    * aggregations and statistics").
+    * aggregations and statistics"), one row per column, all from one
+    * aggregation whose array of per-column structs is `inline`d into rows.
     */
-  def describe(df: DataFrame, cols: Seq[String]): DataFrame =
-    cols.map { c =>
-      df.select(num(c).as("v"))
-        .agg(count("v").cast("double").as("n"), avg("v").as("mean"),
-             min("v").as("min"), max("v").as("max"))
-        .select(lit(c).as("column"), col("n"), col("mean"), col("min"), col("max"))
-    }.reduce(_ unionAll _)
+  def describe(df: DataFrame, cols: Seq[String]): DataFrame = {
+    val stats = cols.map { c =>
+      val v = num(c)
+      struct(lit(c).as("column"), count(v).cast("double").as("n"), avg(v).as("mean"),
+        min(v).as("min"), max(v).as("max"))
+    }
+    df.agg(array(stats: _*).as("stats")).select(inline(col("stats")))
+  }
 }

@@ -68,7 +68,7 @@ object AlignedTuples {
   def forTable(table: String, df: DataFrame, alignment: Alignment): DataFrame = {
     val cols = df.columns
     val tidExpr: Column = cols.find(ColumnProfile.isTid) match {
-      case Some(tidCol) => col(tidCol).cast("string")
+      case Some(tidCol) => ColumnProfile.column(tidCol).cast("string")
       case None =>
         concat(lit(table + "#"), monotonically_increasing_id().cast("string"))
     }
@@ -77,7 +77,7 @@ object AlignedTuples {
     }
     val vals = array((0 until alignment.numIids).map { iid =>
       byIid.get(iid) match {
-        case Some(c) => ColumnProfile.cell(col(c)) // "" is a missing null, as in profiling
+        case Some(c) => ColumnProfile.cell(ColumnProfile.column(c)) // "" is a missing null, as in profiling
         case None => lit(null: String).cast("string")
       }
     }: _*)
@@ -112,6 +112,13 @@ final case class LocalTuple(vals: Vector[Option[String]], covered: Long,
 
 object LocalTuple {
   import AlignedTuples._
+
+  /** `vals` with the provenance of all `parts` (coverage ORed, tables and
+    * TIDs unioned): the one driver-side provenance merge.
+    */
+  def merged(vals: Vector[Option[String]], parts: Seq[LocalTuple]): LocalTuple =
+    LocalTuple(vals, parts.map(_.covered).reduce(_ | _),
+      parts.map(_.tabs).reduce(_ ++ _), parts.map(_.tids).reduce(_ ++ _))
 
   /** Reads an aligned-tuple row by field name. */
   def fromRow(r: Row): LocalTuple = LocalTuple(

@@ -77,13 +77,8 @@ object FullDisjunction extends Integrator {
 
   override def name: String = "alite-fd"
 
-  /** Align with `matcher` and integrate with FD. */
-  override def integrate(tables: Seq[(String, DataFrame)],
-                         matcher: SchemaMatcher): IntegratedTable = {
-    require(tables.nonEmpty, "integration set is empty")
-    val alignment = matcher.align(tables)
-    IntegratedTable(alignment, integrateAligned(AlignedTuples.perTable(tables, alignment)))
-  }
+  override protected def combine(aligned: Seq[(String, DataFrame)], alignment: Alignment): DataFrame =
+    integrateAligned(aligned.map(_._2))
 
   /** FD over an integration set's aligned tuples, one frame per table (each
     * `AlignedTuples.forTable`). A set holds at most one tuple per table, so

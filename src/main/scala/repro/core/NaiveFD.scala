@@ -28,9 +28,7 @@ object NaiveFD {
     a.vals.indices.exists(j => a.vals(j).isDefined && a.vals(j) == b.vals(j))
 
   private def combine(a: LocalTuple, b: LocalTuple): LocalTuple =
-    LocalTuple(
-      Vector.tabulate(a.vals.size)(j => a.vals(j).orElse(b.vals(j))),
-      a.covered | b.covered, a.tabs ++ b.tabs, a.tids ++ b.tids)
+    LocalTuple.merged(Vector.tabulate(a.vals.size)(j => a.vals(j).orElse(b.vals(j))), Seq(a, b))
 
   private def dominates(u: LocalTuple, t: LocalTuple): Boolean =
     u.nonNullCount > t.nonNullCount &&
@@ -42,10 +40,7 @@ object NaiveFD {
     * directly comparable.
     */
   private def finish(results: Seq[LocalTuple]): Seq[LocalTuple] = {
-    val byVals = results.groupBy(_.vals).map { case (vals, group) =>
-      LocalTuple(vals, group.map(_.covered).reduce(_ | _),
-        group.flatMap(_.tabs).toSet, group.flatMap(_.tids).toSet)
-    }.toVector
+    val byVals = results.groupBy(_.vals).toVector.map { case (vals, group) => LocalTuple.merged(vals, group) }
     // A dominator must share the dominated tuple's first non-null value.
     val index = byValue(byVals)
     byVals.filter { t =>

@@ -18,20 +18,11 @@ object OuterJoinIntegration extends Integrator {
 
   override def name: String = "outer-join"
 
-  override def integrate(tables: Seq[(String, DataFrame)],
-                         matcher: SchemaMatcher): IntegratedTable = {
-    require(tables.nonEmpty, "integration set is empty")
-    val alignment = matcher.align(tables)
-    val aligned = tables.map { case (t, df) =>
-      (alignment.iids(t), AlignedTuples.forTable(t, df, alignment))
-    }
-    val (_, folded) = aligned.reduceLeft { (acc, next) =>
-      val (accIids, accDf) = acc
-      val (nextIids, nextDf) = next
-      (accIids ++ nextIids, join(accDf, nextDf, (accIids & nextIids).toSeq.sorted))
-    }
-    IntegratedTable(alignment, folded)
-  }
+  override protected def combine(aligned: Seq[(String, DataFrame)], alignment: Alignment): DataFrame =
+    aligned.map { case (t, df) => (alignment.iids(t), df) }.reduceLeft[(Set[Int], DataFrame)] {
+      case ((accIids, accDf), (nextIids, nextDf)) =>
+        (accIids ++ nextIids, join(accDf, nextDf, (accIids & nextIids).toSeq.sorted))
+    }._2
 
   /** One fold step: FULL OUTER JOIN on every integration ID both sides
     * cover (`shared`), then coalesce into the universal-schema representation.

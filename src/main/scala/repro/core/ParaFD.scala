@@ -17,12 +17,8 @@ object ParaFD extends Integrator {
 
   override def name: String = "parafd"
 
-  override def integrate(tables: Seq[(String, DataFrame)],
-                         matcher: SchemaMatcher): IntegratedTable = {
-    require(tables.nonEmpty, "integration set is empty")
-    val alignment = matcher.align(tables)
-    IntegratedTable(alignment, integrateAligned(AlignedTuples.perTable(tables, alignment)))
-  }
+  override protected def combine(aligned: Seq[(String, DataFrame)], alignment: Alignment): DataFrame =
+    integrateAligned(aligned.map(_._2))
 
   /** The fold over an integration set's aligned tuples, one frame per table
     * (each `AlignedTuples.forTable`) in fold order: the input

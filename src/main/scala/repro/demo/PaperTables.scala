@@ -1,7 +1,8 @@
 package repro.demo
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+
+import repro.lake.DataLake.stringTable
 
 /** The literal tables of the paper's figures (Fig 2 and Fig 7).
   *
@@ -11,15 +12,8 @@ import org.apache.spark.sql.types.{StringType, StructField, StructType}
   */
 object PaperTables {
 
-  private def df(spark: SparkSession, headers: Seq[String],
-                 rows: Seq[Seq[String]]): DataFrame = {
-    val schema = StructType(headers.map(h => StructField(h, StringType, nullable = true)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(Row.fromSeq), 1), schema)
-  }
-
   /** Fig 2, T1 — the query table. */
-  def t1(spark: SparkSession): DataFrame = df(spark,
+  def t1(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "Country", "City", "Vaccination Rate (1+ dose)"),
     Seq(
       Seq("t1", "Germany", "Berlin", "63%"),
@@ -28,7 +22,7 @@ object PaperTables {
     ))
 
   /** Fig 2, T2 — retrieved unionable table (t5 has a missing null). */
-  def t2(spark: SparkSession): DataFrame = df(spark,
+  def t2(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "Country", "City", "Vaccination Rate (1+ dose)"),
     Seq(
       Seq("t4", "Canada", "Toronto", "83%"),
@@ -37,7 +31,7 @@ object PaperTables {
     ))
 
   /** Fig 2, T3 — retrieved joinable table. */
-  def t3(spark: SparkSession): DataFrame = df(spark,
+  def t3(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "City", "Total Cases", "Death Rate (per 100k residents)"),
     Seq(
       Seq("t7", "Berlin", "1.4M", "147"),
@@ -64,7 +58,7 @@ object PaperTables {
   )
 
   /** Fig 7, T4 — vaccine → approver (t12 has a missing null). */
-  def t4(spark: SparkSession): DataFrame = df(spark,
+  def t4(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "Vaccine", "Approver"),
     Seq(
       Seq("t11", "Pfizer", "FDA"),
@@ -72,7 +66,7 @@ object PaperTables {
     ))
 
   /** Fig 7, T5 — country → approver (t14 has a missing null). */
-  def t5(spark: SparkSession): DataFrame = df(spark,
+  def t5(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "Country", "Approver"),
     Seq(
       Seq("t13", "United States", "FDA"),
@@ -80,7 +74,7 @@ object PaperTables {
     ))
 
   /** Fig 7, T6 — vaccine → country. */
-  def t6(spark: SparkSession): DataFrame = df(spark,
+  def t6(spark: SparkSession): DataFrame = stringTable(spark,
     Seq("TID", "Vaccine", "Country"),
     Seq(
       Seq("t15", "J&J", "United States"),

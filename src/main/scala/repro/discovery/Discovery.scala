@@ -8,15 +8,24 @@ final case class ScoredTable(table: String, score: Double)
 /** A table discovery algorithm (§2.1). DIALITE ships SANTOS-style
   * unionable search and LSH-Ensemble-style joinable search and lets users
   * plug in their own.
+  *
+  * A discoverer supplies only `scores`; `discover` ranks and cuts them once.
   */
 trait Discoverer {
   def name: String
 
-  /** Top-k lake tables related to `query`. `queryColumn` is the marked
-    * intent/query column (required by joinable search, used as the intent
-    * column by unionable search when present).
+  /** Relevance scores of lake tables for `query`, in any order (scores
+    * ≤ 0 are dropped). `queryColumn` is the marked intent/query column
+    * (required by joinable search, used as the intent column by unionable
+    * search when present).
     */
-  def discover(query: DataFrame, queryColumn: Option[String], k: Int): Seq[ScoredTable]
+  def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable]
+
+  /** Top-k lake tables related to `query`: the positive `scores`, by
+    * descending score and then table name.
+    */
+  final def discover(query: DataFrame, queryColumn: Option[String], k: Int): Seq[ScoredTable] =
+    scores(query, queryColumn).filter(_.score > 0).sortBy(st => (-st.score, st.table)).take(k)
 }
 
 /** The user-extension point of Fig 4: any similarity function between two
@@ -49,11 +58,6 @@ final class SimilarityDiscoverer(
     lake: repro.lake.DataLake,
     sim: TableSimilarity,
 ) extends Discoverer {
-  override def discover(query: DataFrame, queryColumn: Option[String],
-                        k: Int): Seq[ScoredTable] =
-    lake.tables
-      .map { case (n, df) => ScoredTable(n, sim.score(query, df)) }
-      .filter(_.score > 0)
-      .sortBy(st => (-st.score, st.table))
-      .take(k)
+  override def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable] =
+    lake.tables.map { case (n, df) => ScoredTable(n, sim.score(query, df)) }
 }

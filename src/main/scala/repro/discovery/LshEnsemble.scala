@@ -48,11 +48,11 @@ final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer 
       .filter(_ > 0).map(end => sizes(end - 1))
   }
 
-  override def discover(query: DataFrame, queryColumn: Option[String],
-                        k: Int): Seq[ScoredTable] = {
+  /** Lake tables whose best column's estimated containment reaches `Threshold`. */
+  override def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable] = {
     val qc = queryColumn.getOrElse(throw new IllegalArgumentException(
       "joinable search needs a marked query column"))
-    val qdf = query.select(col(qc))
+    val qdf = query.select(ColumnProfile.column(qc))
     val qsigRow = ColumnProfile.of(Seq(("query", qdf))).select(col("size"), col("sig"))
       .collect().headOption
       .getOrElse(return Seq.empty) // empty query column
@@ -78,8 +78,6 @@ final class LshEnsemble(spark: SparkSession, lake: DataLake) extends Discoverer 
       .where(col("score") >= Threshold)
       .collect()
       .map(r => ScoredTable(r.getString(0), r.getDouble(1)))
-      .sortBy(st => (-st.score, st.table))
-      .take(k)
       .toSeq
   }
 }

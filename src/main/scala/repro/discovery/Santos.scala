@@ -66,8 +66,7 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
   private lazy val lakeTypes: Map[String, Vector[Option[String]]] =
     lake.tables.map { case (n, df) => n -> columnTypes(df) }.toMap
 
-  override def discover(query: DataFrame, queryColumn: Option[String],
-                        k: Int): Seq[ScoredTable] = {
+  override def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable] = {
     val qTypes = columnTypes(query)
     val intentType = queryColumn
       .flatMap(c => query.columns.indexOf(c) match {
@@ -85,8 +84,5 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
       val typeScore = (qTypeSet intersect (cTypes.flatten.toSet - "number")).size
       ScoredTable(t, 2.0 * relScore + typeScore)
     }
-      .filter(_.score > 0)
-      .sortBy(st => (-st.score, st.table))
-      .take(k)
   }
 }

@@ -17,10 +17,11 @@ import repro.core.{AlignedTuples, IntegratedTable, LocalTuple}
   * Each tuple's entries are its (attribute, equivalence key) pairs; a value
   * with an empty key carries no evidence and has no entry. Blocking keys a
   * tuple on every `minAgreements`-combination of its entries, so a matching
-  * pair shares a block (exact overlap blocking), and a pair is tested only
-  * in the block of its first shared combination. Matches are clustered by
-  * union-find, and clusters are merged attribute-wise to the canonical
-  * display form.
+  * pair shares a block (exact overlap blocking). Sharing a block already
+  * proves `minAgreements` agreements, so a pair in a block is only checked
+  * for a conflict. A pair sharing several blocks is checked in each; the
+  * union-find that clusters the matches makes the repeated unions free.
+  * Clusters are merged attribute-wise to the canonical display form.
   */
 object EntityResolver {
 
@@ -39,18 +40,15 @@ object EntityResolver {
       combo <- ks.indices.filter(ks(_) != null).map(j => j -> ks(j)).combinations(minAgreements)
     } blocks.getOrElseUpdate(combo, mutable.ArrayBuffer.empty) += i
 
-    /** The pair matches, and `attrs` are its first `minAgreements` agreements. */
-    def matchesFirstIn(a: Vector[String], b: Vector[String], attrs: Seq[Int]): Boolean = {
-      val both = a.indices.filter(j => a(j) != null && b(j) != null)
-      val agree = both.filter(j => a(j) == b(j))
-      agree.size == both.size && agree.take(minAgreements) == attrs
-    }
+    /** No attribute where both tuples have a key and the keys differ. */
+    def noConflict(a: Vector[String], b: Vector[String]): Boolean =
+      a.indices.forall(j => a(j) == null || b(j) == null || a(j) == b(j))
 
     val parent = Array.tabulate(tuples.size)(identity)
     def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); parent(x) = r; r }
-    for ((combo, ids) <- blocks if ids.size > 1; attrs = combo.map(_._1);
+    for (ids <- blocks.values if ids.size > 1;
          ai <- ids.indices; bi <- (ai + 1) until ids.size
-         if matchesFirstIn(keys(ids(ai)), keys(ids(bi)), attrs)) {
+         if noConflict(keys(ids(ai)), keys(ids(bi)))) {
       val (ri, rj) = (find(ids(ai)), find(ids(bi)))
       if (ri != rj) parent(rj) = ri
     }
@@ -75,7 +73,6 @@ object EntityResolver {
       ms.flatMap(_.vals(j)).map(dict.canonical).groupBy(identity)
         .maxByOption(g => (g._2.size, g._1)).map(_._1)
     }
-    LocalTuple(vals, ms.map(_.covered).reduce(_ | _),
-      ms.flatMap(_.tabs).toSet, ms.flatMap(_.tids).toSet)
+    LocalTuple.merged(vals, ms)
   }
 }

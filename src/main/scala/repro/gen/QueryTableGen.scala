@@ -1,11 +1,11 @@
 package repro.gen
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import scala.util.Random
 
 import repro.lake.KnowledgeBase
+import repro.lake.DataLake.stringTable
 
 /** Query-table generation from a prompt (§3.2, Fig 5).
   *
@@ -33,13 +33,6 @@ object QueryTableGen {
     else genericTable(spark, prompt, rows, cols)
   }
 
-  private def stringDf(spark: SparkSession, headers: Seq[String],
-                       data: Seq[Seq[String]]): DataFrame = {
-    val schema = StructType(headers.map(h => StructField(h, StringType, nullable = true)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(data.map(Row.fromSeq), 1), schema)
-  }
-
   /** Fig 5: top countries by cases, columns Country..Active. */
   private def covidTable(spark: SparkSession, rows: Int, cols: Int): DataFrame = {
     val known = KnowledgeBase.fig5CovidStats
@@ -52,7 +45,7 @@ object QueryTableGen {
       Vector(c, cases.toString, deaths.toString, rec.toString, act.toString)
         .take(headers.size)
     }
-    stringDf(spark, headers, data)
+    stringTable(spark, headers, data)
   }
 
   private def cityVaxTable(spark: SparkSession, rows: Int): DataFrame = {
@@ -60,13 +53,13 @@ object QueryTableGen {
     val data = KnowledgeBase.cityCountry.take(rows).map { case (city, country) =>
       Vector(country, city, s"${40 + rnd.nextInt(55)}%")
     }
-    stringDf(spark, Vector("Country", "City", "Vaccination Rate (1+ dose)"), data)
+    stringTable(spark, Vector("Country", "City", "Vaccination Rate (1+ dose)"), data)
   }
 
   private def vaccineTable(spark: SparkSession, rows: Int): DataFrame = {
     val data = KnowledgeBase.vaccines.take(rows).zip(KnowledgeBase.agencyCountry)
       .map { case (v, (agency, country)) => Vector(v, agency, country) }
-    stringDf(spark, Vector("Vaccine", "Approver", "Country"), data)
+    stringTable(spark, Vector("Vaccine", "Approver", "Country"), data)
   }
 
   private def genericTable(spark: SparkSession, prompt: String,
@@ -74,6 +67,6 @@ object QueryTableGen {
     val rnd = new Random(prompt.hashCode)
     val headers = (0 until cols).map(i => s"attr_$i")
     val data = (0 until rows).map(_ => headers.map(_ => rnd.nextInt(1000).toString))
-    stringDf(spark, headers, data)
+    stringTable(spark, headers, data)
   }
 }

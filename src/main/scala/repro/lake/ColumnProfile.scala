@@ -35,6 +35,11 @@ object ColumnProfile {
     when(v =!= "", v)
   }
 
+  /** The column named `name`, read literally: `col` would parse a header
+    * like "No. Cases" as a nested field and "Pop`2020" as a bad identifier.
+    */
+  def column(name: String): Column = col("`" + name.replace("`", "``") + "`")
+
   /** True for provenance columns (`TID`, any case): integration carries
     * them through but never profiles or matches them.
     */
@@ -46,7 +51,7 @@ object ColumnProfile {
     */
   def melt(table: String, df: DataFrame): DataFrame = {
     val names = df.columns
-    val cells = names.map(c => if (isTid(c)) lit(null: String).cast("string") else cell(col(c)))
+    val cells = names.map(c => if (isTid(c)) lit(null: String).cast("string") else cell(column(c)))
     df.select(posexplode(array(cells: _*)).as(Seq("colIdx", "value")))
       .where(col("value").isNotNull)
       .distinct()

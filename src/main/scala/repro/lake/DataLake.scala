@@ -1,6 +1,7 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 import scala.collection.mutable
 
@@ -25,6 +26,17 @@ trait DataLake {
   def tableNames: Seq[String]
   def table(name: String): DataFrame
   def tables: Seq[(String, DataFrame)] = tableNames.map(n => n -> table(n))
+}
+
+object DataLake {
+  /** A table of string cells (null = missing) from literal rows; a fixed
+    * `partitions` count keeps the row layout, and so the generated TIDs, stable.
+    */
+  def stringTable(spark: SparkSession, headers: Seq[String], rows: Seq[Seq[String]],
+                  partitions: Int = 1): DataFrame = {
+    val schema = StructType(headers.map(h => StructField(h, StringType, nullable = true)))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows.map(Row.fromSeq), partitions), schema)
+  }
 }
 
 /** Lake held as in-session DataFrames (unit tests, small benches). */

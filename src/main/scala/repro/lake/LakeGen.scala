@@ -1,12 +1,13 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import scala.util.Random
 
 import repro.SynthData
 import repro.util.Norm
+
+import DataLake.stringTable
 
 /** Synthetic open data lake generator.
   *
@@ -22,6 +23,8 @@ object LakeGen {
 
   final case class Generated(lake: InMemoryLake, truth: GroundTruth,
                              kb: Map[String, String])
+
+  private val Partitions = 4 // fixes every generated string table's row layout
 
   /** City universe: KB cities plus synthetic ones so the lake scales with
     * sf; synthetic cities are added to the SANTOS KB stand-in exactly the
@@ -43,13 +46,6 @@ object LakeGen {
     // (Spark resolves columns by name); value overlap must carry the match.
     if (r < 0.15) s"col$idx"
     else variants(rnd.nextInt(variants.size))
-  }
-
-  private def mkDf(spark: SparkSession, headers: Seq[String],
-                   rows: Seq[Seq[String]]): DataFrame = {
-    val schema = StructType(headers.map(h => StructField(h, StringType, nullable = true)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(rows.map(Row.fromSeq), 4), schema)
   }
 
   /** Generate the lake. SF=0.01 → ~15 tables for unit tests; SF=0.1 →
@@ -85,7 +81,7 @@ object LakeGen {
       )
       val rows = parts.getOrElse(i, Vector.empty).map(_._1)
         .map(_.map(v => if (rnd.nextDouble() < 0.04) null else v))
-      tables += caseNames(i) -> mkDf(spark, headers, rows)
+      tables += caseNames(i) -> stringTable(spark, headers, rows, Partitions)
       family += caseNames(i) -> "cases"
     }
     for (n <- caseNames) unionable += n -> (caseNames.toSet - n)
@@ -104,7 +100,7 @@ object LakeGen {
         Vector(city, s"${40 + rnd.nextInt(55)}%", (50000 + rnd.nextInt(9000000)).toString)
           .map(v => if (rnd.nextDouble() < 0.04) null else v)
       }
-      tables += vaxNames(i) -> mkDf(spark, headers, rows)
+      tables += vaxNames(i) -> stringTable(spark, headers, rows, Partitions)
       family += vaxNames(i) -> "vax"
     }
     for (n <- caseNames) joinable += (n, "City") -> vaxNames.toSet
@@ -126,12 +122,12 @@ object LakeGen {
       }
       def miss(s: String): String = if (rnd.nextDouble() < 0.1) null else s
       val facts = rnd.shuffle(approvalFacts).take(approvalFacts.size / 2)
-      tables += s"vac_frag${i}_a" -> mkDf(spark, Vector("Vaccine", "Approver"),
-        facts.map(f => Vector(vVar(f._1), miss(f._2))))
-      tables += s"vac_frag${i}_b" -> mkDf(spark, Vector("Country", "Approver"),
-        facts.map(f => Vector(cVar(f._3), miss(f._2))))
-      tables += s"vac_frag${i}_c" -> mkDf(spark, Vector("Vaccine", "Country"),
-        facts.map(f => Vector(vVar(f._1), cVar(f._3))))
+      tables += s"vac_frag${i}_a" -> stringTable(spark, Vector("Vaccine", "Approver"),
+        facts.map(f => Vector(vVar(f._1), miss(f._2))), Partitions)
+      tables += s"vac_frag${i}_b" -> stringTable(spark, Vector("Country", "Approver"),
+        facts.map(f => Vector(cVar(f._3), miss(f._2))), Partitions)
+      tables += s"vac_frag${i}_c" -> stringTable(spark, Vector("Vaccine", "Country"),
+        facts.map(f => Vector(vVar(f._1), cVar(f._3))), Partitions)
       Seq("a", "b", "c").foreach(s => family += s"vac_frag${i}_$s" -> "vaccine")
     }
 

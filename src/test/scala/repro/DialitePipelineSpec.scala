@@ -2,9 +2,10 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-import repro.core.ColumnKey
-import repro.discovery.{InnerJoinRatio, LshEnsemble, Santos, SimilarityDiscoverer}
-import repro.lake.LakeGen
+import repro.analyze.Analytics
+import repro.core.{ColumnKey, FullDisjunction, HolisticMatcher}
+import repro.discovery.{InnerJoinRatio, LshEnsemble, Santos, ScoredTable, SimilarityDiscoverer}
+import repro.lake.{ColumnProfile, InMemoryLake, LakeGen}
 
 /** End-to-end DIALITE: discover → align & integrate → analyze, over the
   * synthetic lake, plus the DuckDB-oracle reintegration check on the
@@ -97,10 +98,42 @@ class DialitePipelineSpec extends SparkSpec {
     assert(completeRows(fd) >= completeRows(oj))
   }
 
+  test("headers containing a dot or a backtick are read literally at every stage") {
+    import spark.implicits._
+    val a = Seq(("Berlin", "10", "3M"), ("Boston", "20", "1M")).toDF("City", "No. Cases", "Pop`2020")
+    val b = Seq(("10", "Germany"), ("20", "USA")).toDF("No. Cases", "Country")
+    val tables = Seq("A" -> a, "B" -> b)
+
+    val profiled = ColumnProfile.of(tables).select(col("table"), col("colName"), col("size"))
+      .collect().map(r => (r.getString(0), r.getString(1), r.getLong(2))).toSet
+    assert(profiled == Set(("A", "City", 2L), ("A", "No. Cases", 2L), ("A", "Pop`2020", 2L),
+      ("B", "No. Cases", 2L), ("B", "Country", 2L)))
+
+    val alignment = new HolisticMatcher().align(tables)
+    assert(alignment.names == Vector("City", "No. Cases", "Pop`2020", "Country"))
+    assert(alignment.iidOf(ColumnKey("A", 1)) == alignment.iidOf(ColumnKey("B", 0)))
+
+    val it = FullDisjunction.integrate(tables)
+    val rendered = it.rendered.collect()
+      .map(r => it.columnNames.map(n => n -> r.getAs[String](n)).toMap).toSet
+    assert(rendered == Set(
+      Map("City" -> "Berlin", "No. Cases" -> "10", "Pop`2020" -> "3M", "Country" -> "Germany"),
+      Map("City" -> "Boston", "No. Cases" -> "20", "Pop`2020" -> "1M", "Country" -> "USA")))
+
+    val described = Analytics.describe(it.asTable, it.columnNames).collect()
+      .map(r => r.getString(0) -> (r.getDouble(1), r.getAs[Any](2))).toSeq
+    assert(described == Seq("City" -> (0.0, null), "No. Cases" -> (2.0, 15.0),
+      "Pop`2020" -> (2.0, 2000000.0), "Country" -> (0.0, null)))
+
+    val lsh = new LshEnsemble(spark, InMemoryLake(tables.toMap))
+    assert(lsh.discover(b, Some("No. Cases"), k = 5) ==
+      Seq(ScoredTable("A", 1.0), ScoredTable("B", 1.0)))
+  }
+
   test("analysis runs over an integrated lake table") {
     val q = gen.lake.table("cases_p0")
     val it = dialite.integrate(Seq("Q" -> q))
-    val d = repro.analyze.Analytics.describe(it.asTable, Seq(it.columnNames(2)))
+    val d = Analytics.describe(it.asTable, Seq(it.columnNames(2)))
     assert(d.collect().head.getDouble(1) > 0) // parsed some case counts
   }
 }

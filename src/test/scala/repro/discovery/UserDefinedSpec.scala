@@ -1,5 +1,7 @@
 package repro.discovery
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.lake.InMemoryLake
 
@@ -37,6 +39,20 @@ class UserDefinedSpec extends SparkSpec {
     val hits = d.discover(query, None, k = 3)
     assert(hits.map(_.table) == Seq("strong", "weak"))
     assert(hits.head.score == 1.0)
+  }
+
+  test("a discoverer supplying only scores gets them filtered, ranked and cut at k") {
+    val fixed = new Discoverer {
+      override def name: String = "fixed"
+      override def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable] = Seq(
+        ScoredTable("zero", 0.0), ScoredTable("c", 0.5), ScoredTable("neg", -1.0),
+        ScoredTable("b", 2.0), ScoredTable("a", 0.5), ScoredTable("d", 0.25))
+    }
+    val query = Seq(("k1", "a")).toDF("k", "x")
+    assert(fixed.discover(query, None, k = 3) ==
+      Seq(ScoredTable("b", 2.0), ScoredTable("a", 0.5), ScoredTable("c", 0.5)))
+    assert(fixed.discover(query, None, k = 10).map(_.table) == Seq("b", "a", "c", "d"))
+    assert(fixed.discover(query, None, k = 0).isEmpty)
   }
 
   test("top-k truncates") {
