@@ -127,7 +127,7 @@ object Main {
   }
 
   private def session(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",

@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.{HolisticMatcher, IntegratedTable, Integrator, SchemaMatcher}
 import repro.discovery.{Discoverer, ScoredTable}
-import repro.er.{EntityResolver, SynonymDict}
 import repro.lake.DataLake
 
 /** The DIALITE pipeline (Fig 1): discover → align & integrate → analyze.
@@ -44,11 +43,6 @@ final class Dialite(
         s"unknown integrator '$operator'; have ${integrators.keys.mkString(", ")}"))
     integrator.integrate(integrationSet, matcher)
   }
-
-  /** Stage 3 — Analyze (§2.3): entity resolution downstream application. */
-  def entityResolution(it: IntegratedTable,
-                       dict: SynonymDict = SynonymDict.default): IntegratedTable =
-    EntityResolver.resolve(it, dict)
 
   /** Full pipeline: discover, integrate, return the integrated table. */
   def pipeline(query: DataFrame, queryColumn: Option[String], k: Int,

@@ -60,11 +60,9 @@ trait SchemaMatcher {
   */
 final class HolisticMatcher extends SchemaMatcher {
 
-  private val Threshold = 0.25
+  import HolisticMatcher.Profile
 
-  private final case class Profile(key: ColumnKey, header: String,
-                                   tokens: Set[String], values: Set[String],
-                                   numeric: Boolean)
+  private val Threshold = 0.25
 
   override def align(tables: Seq[(String, DataFrame)]): Alignment = {
     // One action profiles every data column; profiles keep the order of
@@ -148,4 +146,10 @@ final class HolisticMatcher extends SchemaMatcher {
       if (c == 0) n else s"${n}_$c"
     }
   }
+}
+
+object HolisticMatcher {
+  private final case class Profile(key: ColumnKey, header: String,
+                                   tokens: Set[String], values: Set[String],
+                                   numeric: Boolean)
 }

@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import scala.collection.mutable
+
 import AlignedTuples._
 
 /** ALITE's integration result: tuples in integration-ID space plus the
@@ -47,31 +49,26 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * integration ID, and connected via shared non-null equal attributes;
   * value-subsumed outputs removed. Nulls never join.
   *
-  * Algorithm: pairwise complementation closure grown from the base tuples.
-  * Each round joins the frontier (the tuples built last round) against the
-  * base tuples in one equi-join on a shared (position, value), keeps
-  * consistent table-disjoint pairs and coalesces each into one tuple.
-  * Tuples are keyed on their `vals` array (and `tids`) themselves, so no
-  * value can collide with an encoding of another. Lineage is cut every
-  * round with `localCheckpoint`. Finally, value-identical rows are merged
-  * (the union of their TID sets, which equals the union of the maximal
-  * ones) and dominated rows removed by one subsumption join. `ParaFD` and
-  * `NaiveFD.iterative` reuse this shape.
+  * Algorithm: a complementation closure in one pass of Spark tasks. The
+  * input tuples are collected once, deduplicated on (`vals`, `tids`) and
+  * broadcast with one (position, value) → tuple index. Each task takes a
+  * round-robin share of the tuples as seeds, and each seed grows, by BFS,
+  * every valid set (connected, consistent, table-disjoint) whose smallest
+  * base index is the seed's own. So every valid set is built exactly once
+  * (the idea of ESU: Wernicke, "Efficient detection of network motifs",
+  * TCBB 2006), with no shuffle, checkpoint or round loop. Finally,
+  * value-identical rows are merged (the union of their TID sets, which
+  * equals the union of the maximal ones) and dominated rows removed by one
+  * subsumption join. The driver holds the input tuples, never the output.
   *
-  * Why growing from the base is enough: a connected, consistent set can be
-  * built one base tuple at a time in BFS order of its connection graph, and
-  * every prefix along the way is itself connected and consistent. A tuple
-  * that is consistent with a prefix's combined tuple is consistent with
-  * each of its members, and one sharing a value with the combined tuple
-  * shares it with some member, so round r builds exactly the valid sets of
-  * r+1 base tuples.
-  *
-  * Why the loop needs no anti-join and stops after n−1 rounds over n
-  * tables: every round adds one table to each tuple (joined sides are
-  * table-disjoint). So a round cannot rebuild an earlier generation's
-  * tuple, and after round r every frontier tuple spans r+1 tables, so a
-  * round n would find no table-disjoint partner. The loop also stops early
-  * on an empty frontier.
+  * Why BFS from the smallest member reaches every valid set: a connected,
+  * consistent set can be built one tuple at a time in BFS order of its
+  * connection graph from any member, and every prefix along the way is
+  * itself connected, consistent and table-disjoint (the last two are
+  * hereditary). A tuple that is consistent with a prefix's combined tuple
+  * is consistent with each of its members, and one sharing a value with a
+  * member shares it with the combined tuple, so a partner found through
+  * the index extends the prefix exactly when the extension is valid.
   */
 object FullDisjunction extends Integrator {
 
@@ -81,38 +78,72 @@ object FullDisjunction extends Integrator {
     integrateAligned(aligned.map(_._2))
 
   /** FD over an integration set's aligned tuples, one frame per table (each
-    * `AlignedTuples.forTable`). A set holds at most one tuple per table, so
-    * the closure runs at most `perTable.size − 1` rounds. Exposed for the
-    * tests and `IntegrationScaleBench`, which integrate prepared tuples
-    * without a matcher.
+    * `AlignedTuples.forTable`). Exposed for the tests and
+    * `IntegrationScaleBench`, which integrate prepared tuples without a
+    * matcher.
     */
   def integrateAligned(perTable: Seq[DataFrame]): DataFrame = {
     require(perTable.nonEmpty, "integrateAligned needs the tuples of at least one table")
-    subsume(dedupValues(closure(perTable.reduce(_ unionAll _), perTable.size)))
+    subsume(dedupValues(closure(perTable)))
   }
 
   // ---------------------------------------------------------------- closure
 
   /** Every connected, consistent, table-disjoint set of input tuples as one
-    * combined tuple: the union of the base and of each round's frontier.
-    * A tuple of generation r spans r+1 tables, so `tables − 1` rounds
-    * build every set.
+    * combined tuple, each set once. One job collects the input (bounded by
+    * `spark.driver.maxResultSize`, like any collect); the sets are grown
+    * lazily in the tasks of whatever reads the result. Reading it again
+    * regrows the same sets from the same broadcast tuples.
     */
-  private def closure(t0: DataFrame, tables: Int): DataFrame = {
-    val base = t0.dropDuplicates(ValsCol, TidsCol).localCheckpoint()
-    var generations = Vector(base)
-    var frontier = base
-    while (generations.size < tables && !frontier.isEmpty) {
-      frontier = combineRound(frontier, base).dropDuplicates(ValsCol, TidsCol).localCheckpoint()
-      generations :+= frontier
+  private[core] def closure(perTable: Seq[DataFrame]): DataFrame = {
+    val input = perTable.reduce(_ unionAll _)
+    val base = input.collect().iterator.map(LocalTuple.fromRow).toVector.distinctBy(t => (t.vals, t.tids))
+    val index: Map[(Int, String), Seq[Int]] = base.indices
+      .flatMap(i => base(i).vals.zipWithIndex.collect { case (Some(v), j) => (j, v) -> i })
+      .groupMap(_._1)(_._2)
+    val sc = input.sparkSession.sparkContext
+    val shared = sc.broadcast((base, index))
+    // Round-robin seeds: the first table's tuples own most multi-table sets.
+    val slices = math.max(1, math.min(sc.defaultParallelism, base.size))
+    val rows = sc.parallelize(0 until slices, slices).flatMap { slice =>
+      val (base, index) = shared.value
+      (slice until base.size by slices).iterator.flatMap(grow(base, index, _)).map(_.toRow)
     }
-    generations.reduce(_ unionByName _)
+    input.sparkSession.createDataFrame(rows, schema)
+  }
+
+  /** The valid sets whose smallest base index is `seed`, by BFS: a set's
+    * partners are the index hits above `seed` outside it that share no
+    * table with it and are consistent with its combined tuple. The member
+    * sets already built stop a second path to the same set.
+    */
+  private def grow(base: Vector[LocalTuple], index: Map[(Int, String), Seq[Int]],
+                   seed: Int): Vector[LocalTuple] = {
+    val seen = mutable.HashSet(Set(seed))
+    val queue = mutable.Queue(Set(seed) -> base(seed))
+    val built = Vector.newBuilder[LocalTuple]
+    while (queue.nonEmpty) {
+      val (members, t) = queue.dequeue()
+      built += t
+      for {
+        (v, j) <- t.vals.zipWithIndex
+        value <- v
+        p <- index((j, value)) if p > seed && !members(p)
+        b = base(p)
+        grown = members + p
+        if t.tabs.intersect(b.tabs).isEmpty &&
+          t.vals.lazyZip(b.vals).forall((x, y) => x.isEmpty || y.isEmpty || x == y) &&
+          seen.add(grown)
+      } queue.enqueue(grown -> LocalTuple.merged(t.vals.lazyZip(b.vals).map(_ orElse _), Seq(t, b)))
+    }
+    built.result()
   }
 
   /** All consistent, connected, table-disjoint pairs of `a` × `b`,
-    * coalesced into combined tuples. One equi-join of each side's non-null
-    * (position, value)s; a pair sharing several values joins once per
-    * shared value, so only the match at its first shared position is kept.
+    * coalesced into combined tuples: `ParaFD`'s binary step. One equi-join
+    * of each side's non-null (position, value)s; a pair sharing several
+    * values joins once per shared value, so only the match at its first
+    * shared position is kept.
     */
   private[core] def combineRound(a: DataFrame, b: DataFrame): DataFrame = {
     def exploded(df: DataFrame, p: String): DataFrame =

@@ -8,10 +8,13 @@ import scala.collection.mutable
   * *independent correctness reference* for the Spark implementation
   * (property tests compare them on random instances).
   *
-  * `iterative` and `iterativeScan` run `FullDisjunction`'s closure
-  * tuple-at-a-time on one thread, standing in for the polynomial-delay FD
-  * iterators of Cohen et al. [2] in the runtime comparison benches: same
-  * rounds grown from the base, same dedup and subsumption, same output.
+  * `iterative` and `iterativeScan` run the complementation closure in
+  * rounds, tuple-at-a-time on one thread, standing in for the
+  * polynomial-delay FD iterators of Cohen et al. [2] in the runtime
+  * comparison benches. They build the same valid sets as
+  * `FullDisjunction`'s one-pass closure by a different enumeration (one
+  * table added per round, duplicates dropped per round), then run the same
+  * dedup and subsumption, so outputs are directly comparable.
   */
 object NaiveFD {
 
@@ -68,7 +71,7 @@ object NaiveFD {
       val sel = idxs.map(ts)
       val allTabs = sel.flatMap(_.tabs)
       val onePerTable = allTabs.distinct.size == allTabs.size
-      def pairwise = sel.combinations(2).forall { case Seq(a, b) => consistent(a, b) }
+      def pairwise = sel.combinations(2).forall(p => consistent(p.head, p.last))
       def isConnected: Boolean = {
         if (sel.size <= 1) true
         else {
@@ -112,13 +115,14 @@ object NaiveFD {
   def iterativeScan(tuples: Seq[LocalTuple]): Seq[LocalTuple] =
     closure(tuples)(base => f => base.filter(connected(f, _)))
 
-  /** `FullDisjunction`'s closure over local tuples: each round combines every
+  /** The closure in rounds over local tuples: each round combines every
     * frontier tuple with each table-disjoint, consistent partner among the
     * deduplicated base tuples (`partnersIn(base)` finds the ones sharing a
-    * value), and the distinct combinations form the next frontier. Round r
-    * builds exactly the valid sets of r+1 base tuples (see
-    * `FullDisjunction`), so no round rebuilds an earlier one's tuple and
-    * the frontier empties after at most n−1 rounds over n tables.
+    * value), and the distinct combinations form the next frontier. Every
+    * valid set grows one base tuple at a time through valid prefixes (see
+    * `FullDisjunction`), so round r builds exactly the valid sets of r+1
+    * base tuples, no round rebuilds an earlier one's tuple, and the
+    * frontier empties after at most n−1 rounds over n tables.
     */
   private def closure(tuples: Seq[LocalTuple])(
       partnersIn: Seq[LocalTuple] => LocalTuple => Iterable[LocalTuple]): Seq[LocalTuple] = {

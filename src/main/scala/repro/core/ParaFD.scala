@@ -6,9 +6,9 @@ import org.apache.spark.sql.DataFrame
   * (the strategy parallelized by Paganelli et al. [10]).
   *
   * A binary FD needs a single combination round (maximal sets contain at
-  * most one tuple per side), so each step is `FullDisjunction`'s closure
-  * cut to one round: pairs ∪ both inputs, merge value-duplicates, drop
-  * subsumed. The fold is correct on γ-acyclic integration sets (which
+  * most one tuple per side), so each step is one pairwise join
+  * (`FullDisjunction.combineRound`): pairs ∪ both inputs, merge
+  * value-duplicates, drop subsumed. The fold is correct on γ-acyclic integration sets (which
   * covers the paper's examples and our key–FK lake families) but, unlike
   * ALITE's closure, is not correct in general — it is here as the runtime
   * baseline the paper claims ALITE beats.

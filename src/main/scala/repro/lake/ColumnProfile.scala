@@ -46,22 +46,24 @@ object ColumnProfile {
   def isTid(name: String): Boolean = name.equalsIgnoreCase("tid")
 
   /** (table, colIdx, colName, value) rows for every distinct value of a
-    * data column. A `TID` column's cells read as missing, so it keeps its
+    * data column of `tables`. One `distinct` over the union, so the melt is
+    * one shuffle however many tables there are; rows of different tables
+    * never collide. A `TID` column's cells read as missing, so it keeps its
     * position in the `posexplode` and the missing-value filter drops it.
     */
-  def melt(table: String, df: DataFrame): DataFrame = {
-    val names = df.columns
-    val cells = names.map(c => if (isTid(c)) lit(null: String).cast("string") else cell(column(c)))
-    df.select(posexplode(array(cells: _*)).as(Seq("colIdx", "value")))
-      .where(col("value").isNotNull)
-      .distinct()
-      .select(
-        lit(table).as("table"),
-        col("colIdx"),
-        element_at(array(names.map(lit(_)): _*), col("colIdx") + 1).as("colName"),
-        col("value"),
-      )
-  }
+  def melt(tables: Seq[(String, DataFrame)]): DataFrame =
+    tables.map { case (table, df) =>
+      val names = df.columns.toSeq
+      val cells = names.map(c => if (isTid(c)) lit(null: String).cast("string") else cell(column(c)))
+      df.select(posexplode(array(cells: _*)).as(Seq("colIdx", "value")))
+        .where(col("value").isNotNull)
+        .select(
+          lit(table).as("table"),
+          col("colIdx"),
+          element_at(array(names.map(lit): _*), col("colIdx") + 1).as("colName"),
+          col("value"),
+        )
+    }.reduce(_ unionAll _).distinct()
 
   /** (table, colIdx, colName, size, sig, sample) for every data column of
     * `tables` that holds a value.
@@ -70,8 +72,7 @@ object ColumnProfile {
     val mins = (0 until NumPerms).map(i => min(xxhash64(concat(col("value"), lit(s"§$i")))))
     val bottomK = slice(array_sort(collect_list(struct(xxhash64(col("value")), col("value")))),
       1, SampleSize)
-    tables.map { case (n, df) => melt(n, df) }
-      .reduce(_ unionAll _)
+    melt(tables)
       .groupBy(col("table"), col("colIdx"))
       .agg(
         first(col("colName")).as("colName"),

@@ -89,7 +89,7 @@ class FullDisjunctionSpec extends SparkSpec {
       LocalTuple(Vector(None, None, Some("b"), Some("c"), None), 0xc, Set("T2"), Set("x2")),
       LocalTuple(Vector(None, None, None, Some("c"), Some("d")), 0x18, Set("T3"), Set("x3")),
     )
-    // 4 tables: the full chain needs all n−1 = 3 rounds.
+    // 4 tables: the full chain grows from x0 through three extensions.
     val out = FdFixtures.fromDf(FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))
     assert(FdFixtures.canon(out) == FdFixtures.canon(NaiveFD.bruteForce(in)))
     assert(out.map(_.tids) == Set(Set("x0", "x1", "x2", "x3")))
@@ -144,5 +144,51 @@ class FullDisjunctionSpec extends SparkSpec {
     assert(FdFixtures.canon(NaiveFD.iterative(in)) == expected)
     assert(FdFixtures.canon(FdFixtures.fromDf(
       FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))) == expected)
+  }
+
+  /** Non-empty table-disjoint, consistent, connected subsets of `ts`, by
+    * enumerating every subset.
+    */
+  private def validSubsetCount(ts: Vector[LocalTuple]): Int =
+    (1 until (1 << ts.size)).count { mask =>
+      val sel = ts.indices.filter(i => (mask & (1 << i)) != 0).map(ts)
+      val tabs = sel.flatMap(_.tabs)
+      def reach(r: Set[Int]): Set[Int] = {
+        val next = r ++ sel.indices.filter(o => r.exists(c => NaiveFD.connected(sel(c), sel(o))))
+        if (next == r) r else reach(next)
+      }
+      tabs.distinct.size == tabs.size &&
+        sel.combinations(2).forall(p => NaiveFD.consistent(p.head, p.last)) &&
+        reach(Set(0)).size == sel.size
+    }
+
+  test("the raw closure builds every valid set exactly once") {
+    val fig2 = AlignedTuples.perTable(PaperTables.fig2(spark),
+      new HolisticMatcher().align(PaperTables.fig2(spark)))
+    val random = (1 to 12).map(seed => FdFixtures.randomInstance(seed * 7919L))
+      .filter(_.nonEmpty).map(FdFixtures.byTable(spark, _))
+    for (perTable <- fig2 +: random) {
+      val in = perTable.flatMap(FdFixtures.fromDf).toVector
+      val out = FullDisjunction.closure(perTable).collect().map(LocalTuple.fromRow)
+      assert(out.map(_.tids).distinct.length == out.length, in.mkString("\n"))
+      assert(out.length == validSubsetCount(in), in.mkString("\n"))
+    }
+  }
+
+  test("an FD result over tables without a TID column reads the same twice") {
+    import spark.implicits._
+    val tables = Seq(
+      "ck" -> Seq(("1", "n1"), ("2", "n2"), ("3", "n3")).toDF("custkey", "nationkey"),
+      "oc" -> Seq(("o1", "1"), ("o2", "1"), ("o3", "3")).toDF("orderkey", "custkey"),
+    )
+    val it = FullDisjunction.integrate(tables)
+    val first = FdFixtures.fromDf(it.tuples)
+    assert(FdFixtures.fromDf(it.tuples) == first)
+    val rendered = it.rendered.collect().map { r =>
+      (r.getString(0), (1 until r.length).toVector.map(i => Option(r.getString(i)).filterNot(Set("±", "⊥"))))
+    }.toSet
+    assert(rendered == first.map(t => (t.tids.toSeq.sorted.mkString(","), t.vals)))
+    assert(first.flatMap(_.tids).forall(tid => tid.startsWith("ck#") || tid.startsWith("oc#")))
+    assert(first.size == 4)
   }
 }

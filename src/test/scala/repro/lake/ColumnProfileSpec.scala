@@ -14,7 +14,7 @@ class ColumnProfileSpec extends SparkSpec {
 
   test("melt emits one row per distinct (column, value)") {
     val df = Seq(("a", "x"), ("a", "y"), ("b", "x")).toDF("c1", "c2")
-    val m = ColumnProfile.melt("t", df).collect()
+    val m = ColumnProfile.melt(Seq("t" -> df)).collect()
     val c1 = m.filter(_.getAs[Int]("colIdx") == 0).map(_.getAs[String]("value")).toSet
     val c2 = m.filter(_.getAs[Int]("colIdx") == 1).map(_.getAs[String]("value")).toSet
     assert(c1 == Set("a", "b") && c2 == Set("x", "y"))
@@ -23,7 +23,7 @@ class ColumnProfileSpec extends SparkSpec {
 
   test("melt drops nulls and empty strings") {
     val df = Seq(("a", null), ("", "y")).toDF("c1", "c2")
-    val m = ColumnProfile.melt("t", df).collect()
+    val m = ColumnProfile.melt(Seq("t" -> df)).collect()
     assert(m.map(_.getAs[String]("value")).toSet == Set("a", "y"))
   }
 
