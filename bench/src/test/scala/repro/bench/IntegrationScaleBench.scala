@@ -46,43 +46,46 @@ class IntegrationScaleBench extends SparkSpec {
       .count()
   }
 
+  /** Each algorithm over one scale point's aligned tuples, returning its
+    * row count. `fd-nloj` is quadratic, so it runs on small inputs only.
+    */
+  private def algorithms(perTable: Seq[DataFrame], local: Vector[LocalTuple]): Seq[(String, () => Long)] =
+    Seq[(String, () => Long)](
+      "alite-spark" -> (() => FullDisjunction.integrateAligned(perTable).count()),
+      "parafd-spark" -> (() => ParaFD.integrateAligned(perTable).count()),
+      "fd-indexed" -> (() => NaiveFD.iterative(local).size.toLong),
+    ) ++ Option.when(local.size <= 12000)("fd-nloj" -> (() => NaiveFD.iterativeScan(local).size.toLong))
+
   test("ALITE vs FD baselines across scale factors (TPC-H-lite fragments)") {
+    val scales = Seq(0.002, 0.005, 0.01, 0.02)
+    // Checkpointed, so every algorithm reads the same generated TIDs.
+    def prepared(tables: Seq[(String, DataFrame)]) = {
+      val perTable = AlignedTuples.perTable(tables, new HolisticMatcher().align(tables)).map(_.localCheckpoint())
+      (perTable, perTable.flatMap(FdFixtures.fromDf).toVector)
+    }
+    // One untimed run of each algorithm first, so first-use planning and
+    // codegen land on no algorithm's timing.
+    val (warmTables, warmLocal) = prepared(fragments(scales.head))
+    algorithms(warmTables, warmLocal).foreach { case (_, run) => run() }
+
     BenchUtil.header("FD runtime sweep (local[*], seconds)")
     BenchUtil.row("sf", "tuples", "algorithm", "seconds", "rows", "rows==oracle")
 
-    for (sf <- Seq(0.002, 0.005, 0.01, 0.02)) {
+    for (sf <- scales) {
       val tables = fragments(sf)
-      val alignment = new HolisticMatcher().align(tables)
-      // Checkpointed, so every algorithm reads the same generated TIDs.
-      val perTable = AlignedTuples.perTable(tables, alignment).map(_.localCheckpoint())
-      val local = perTable.flatMap(FdFixtures.fromDf).toVector
-      val nTuples = local.size
+      val (perTable, local) = prepared(tables)
       val expected = oracleCount(tables)
-
-      val (aliteRows, tAlite) = BenchUtil.timed(
-        FullDisjunction.integrateAligned(perTable).count())
-      BenchUtil.row(sf, nTuples, "alite-spark", f"$tAlite%.1f", aliteRows, aliteRows == expected)
-
-      val (paraRows, tPara) = BenchUtil.timed(
-        ParaFD.integrateAligned(perTable).count())
-      BenchUtil.row(sf, nTuples, "parafd-spark", f"$tPara%.1f", paraRows, paraRows == expected)
-
-      val (idxRows, tIdx) = BenchUtil.timed(NaiveFD.iterative(local).size.toLong)
-      BenchUtil.row(sf, nTuples, "fd-indexed", f"$tIdx%.1f", idxRows, idxRows == expected)
-
-      if (nTuples <= 12000) {
-        val (scanRows, tScan) = BenchUtil.timed(NaiveFD.iterativeScan(local).size.toLong)
-        BenchUtil.row(sf, nTuples, "fd-nloj", f"$tScan%.1f", scanRows, scanRows == expected)
-        if (sf == 0.005) {
-          // the paper's shape: ALITE beats the tuple-at-a-time NLOJ baseline
-          assert(tAlite < tScan,
-            f"alite $tAlite%.1f s should beat fd-nloj $tScan%.1f s at sf=$sf")
-        }
+      val timings = algorithms(perTable, local).map { case (name, run) =>
+        val (rows, secs) = BenchUtil.timed(run())
+        BenchUtil.row(sf, local.size, name, f"$secs%.1f", rows, rows == expected)
+        name -> (rows, secs)
+      }.toMap
+      if (sf == 0.005) {
+        // the paper's shape: ALITE beats the tuple-at-a-time NLOJ baseline
+        val (tAlite, tScan) = (timings("alite-spark")._2, timings("fd-nloj")._2)
+        assert(tAlite < tScan, f"alite $tAlite%.1f s should beat fd-nloj $tScan%.1f s at sf=$sf")
       }
-
-      assert(aliteRows == expected, s"alite rows $aliteRows != oracle $expected")
-      assert(paraRows == expected, s"parafd rows $paraRows != oracle $expected")
-      assert(idxRows == expected, s"fd-indexed rows $idxRows != oracle $expected")
+      for ((name, (rows, _)) <- timings) assert(rows == expected, s"$name rows $rows != oracle $expected")
     }
     println("paper (shape): ALITE correct everywhere and faster than the [2]-style baseline")
   }

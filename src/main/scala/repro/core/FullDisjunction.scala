@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -49,17 +50,20 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * integration ID, and connected via shared non-null equal attributes;
   * value-subsumed outputs removed. Nulls never join.
   *
-  * Algorithm: a complementation closure in one pass of Spark tasks. The
-  * input tuples are collected once, deduplicated on (`vals`, `tids`) and
-  * broadcast with one (position, value) → tuple index. Each task takes a
+  * Algorithm: a complementation closure in one pass of Spark tasks, then
+  * one shuffle by connected component. The input tuples are collected
+  * once, deduplicated on (`vals`, `tids`) and broadcast with one
+  * (position, value) → tuple index and each tuple's connected component
+  * (a union-find over the index on the driver). Each task takes a
   * round-robin share of the tuples as seeds, and each seed grows, by BFS,
   * every valid set (connected, consistent, table-disjoint) whose smallest
   * base index is the seed's own. So every valid set is built exactly once
   * (the idea of ESU: Wernicke, "Efficient detection of network motifs",
-  * TCBB 2006), with no shuffle, checkpoint or round loop. Finally,
-  * value-identical rows are merged (the union of their TID sets, which
-  * equals the union of the maximal ones) and dominated rows removed by one
-  * subsumption join. The driver holds the input tuples, never the output.
+  * TCBB 2006). Each set is keyed by its seed's component, and after one
+  * `groupByKey` each component's sets get `NaiveFD`'s local finish:
+  * value-identical sets merged (the union of their TID sets, which equals
+  * the union of the maximal ones), dominated ones dropped. The driver holds
+  * the input tuples, never the output.
   *
   * Why BFS from the smallest member reaches every valid set: a connected,
   * consistent set can be built one tuple at a time in BFS order of its
@@ -69,6 +73,16 @@ final case class IntegratedTable(alignment: Alignment, tuples: DataFrame) {
   * is consistent with each of its members, and one sharing a value with a
   * member shares it with the combined tuple, so a partner found through
   * the index extends the prefix exactly when the extension is valid.
+  *
+  * Why the finish needs no set outside its component: a valid set is
+  * connected, so all its members lie in its seed's component. Two
+  * value-identical sets share every non-null value, and every input tuple
+  * has one (`AlignedTuples.forTable` drops all-null rows), so they hold
+  * members that share a (position, value). A dominator agrees with the
+  * dominated set's first non-null (position, value), so again some
+  * members share one. All of a component's sets go to one reduce task,
+  * so one giant component (a value most tuples share) finishes on one
+  * core.
   */
 object FullDisjunction extends Integrator {
 
@@ -84,32 +98,57 @@ object FullDisjunction extends Integrator {
     */
   def integrateAligned(perTable: Seq[DataFrame]): DataFrame = {
     require(perTable.nonEmpty, "integrateAligned needs the tuples of at least one table")
-    subsume(dedupValues(closure(perTable)))
+    val sets = closure(perTable)
+    val rows = sets.groupByKey(sets.getNumPartitions)
+      .flatMap { case (_, component) => NaiveFD.finish(component.toVector) }
+      .map(_.toRow)
+    perTable.head.sparkSession.createDataFrame(rows, schema)
   }
 
   // ---------------------------------------------------------------- closure
 
   /** Every connected, consistent, table-disjoint set of input tuples as one
-    * combined tuple, each set once. One job collects the input (bounded by
+    * combined tuple, each set once, keyed by the connected component of its
+    * members. One job collects the input (bounded by
     * `spark.driver.maxResultSize`, like any collect); the sets are grown
-    * lazily in the tasks of whatever reads the result. Reading it again
-    * regrows the same sets from the same broadcast tuples.
+    * lazily in the tasks of whatever reads the result. A second read of
+    * `integrateAligned`'s result reuses the shuffle's map output while
+    * Spark keeps it, so only the per-component finish runs again.
     */
-  private[core] def closure(perTable: Seq[DataFrame]): DataFrame = {
+  private[core] def closure(perTable: Seq[DataFrame]): RDD[(Int, LocalTuple)] = {
     val input = perTable.reduce(_ unionAll _)
     val base = input.collect().iterator.map(LocalTuple.fromRow).toVector.distinctBy(t => (t.vals, t.tids))
+    require(base.forall(_.nonNullCount > 0),
+      "every aligned tuple needs a value (AlignedTuples.forTable drops all-null rows)")
     val index: Map[(Int, String), Seq[Int]] = base.indices
       .flatMap(i => base(i).vals.zipWithIndex.collect { case (Some(v), j) => (j, v) -> i })
       .groupMap(_._1)(_._2)
     val sc = input.sparkSession.sparkContext
-    val shared = sc.broadcast((base, index))
+    val shared = sc.broadcast((base, index, components(base.size, index.values)))
     // Round-robin seeds: the first table's tuples own most multi-table sets.
     val slices = math.max(1, math.min(sc.defaultParallelism, base.size))
-    val rows = sc.parallelize(0 until slices, slices).flatMap { slice =>
-      val (base, index) = shared.value
-      (slice until base.size by slices).iterator.flatMap(grow(base, index, _)).map(_.toRow)
+    sc.parallelize(0 until slices, slices).flatMap { slice =>
+      val (base, index, component) = shared.value
+      (slice until base.size by slices).iterator.flatMap(seed => grow(base, index, seed).map(component(seed) -> _))
     }
-    input.sparkSession.createDataFrame(rows, schema)
+  }
+
+  /** Each of `n` tuples' connected component, named by its smallest
+    * member: a union-find over the groups of tuples sharing a (position,
+    * value).
+    */
+  private def components(n: Int, groups: Iterable[Seq[Int]]): Vector[Int] = {
+    val parent = Array.range(0, n)
+    def root(i: Int): Int = {
+      var r = i
+      while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
+      r
+    }
+    for (g <- groups; i <- g.tail) {
+      val (a, b) = (root(g.head), root(i))
+      parent(math.max(a, b)) = math.min(a, b)
+    }
+    Vector.tabulate(n)(root)
   }
 
   /** The valid sets whose smallest base index is `seed`, by BFS: a set's
@@ -160,40 +199,5 @@ object FullDisjunction extends Integrator {
         col("a_pos") === col("b_pos") && col("a_v") === col("b_v") &&
           tableDisjoint && consistent && col("a_pos") === firstShared)
       .select(mergedPair: _*)
-  }
-
-  // ------------------------------------------------- dedup and subsumption
-
-  /** Merge value-identical tuples: coverage ORed, tables and TIDs unioned.
-    * FD keeps the maximal sets only, but the union of a group's TID sets
-    * equals the union of its maximal ones: every set lies inside one.
-    */
-  private[core] def dedupValues(closed: DataFrame): DataFrame = {
-    def union(c: String) = array_sort(array_distinct(flatten(collect_list(c)))).as(c)
-    closed.groupBy(ValsCol).agg(expr(s"bit_or($CoveredCol)").as(CoveredCol), union(TabsCol), union(TidsCol))
-  }
-
-  /** Remove value-dominated tuples. `u` dominates `t` when `u` agrees with
-    * every non-null value of `t` and has strictly more non-null values.
-    * A dominator must share `t`'s first non-null value, so one left
-    * anti-join of `t`'s first (position, value) against every (position,
-    * value) of `u` keeps the undominated rows. One join rather than one per
-    * attribute: the optimizer pushes a per-attribute filter below the dedup
-    * aggregate, which gives every such join its own shuffle. Anti-joining
-    * whole rows reads the aggregate twice, not a third time to drop the
-    * dominated values.
-    */
-  private[core] def subsume(dedup: DataFrame): DataFrame = {
-    val nn = size(filter(col(ValsCol), v => v.isNotNull))
-    val t = dedup.select(col("*"), nn.as("t_nn"),
-      (array_position(transform(col(ValsCol), _.isNotNull), true) - 1).as("t_pos"))
-    val u = dedup.select(col(ValsCol).as("u_vals"), nn.as("u_nn"),
-      posexplode(col(ValsCol)).as(Seq("u_pos", "u_v")))
-    val dominates =
-      forall(zip_with(col(ValsCol), col("u_vals"), (x, y) => x.isNull || x === y), identity) &&
-        col("u_nn") > col("t_nn")
-    t.join(u, col("t_pos") === col("u_pos") && col(ValsCol)(col("t_pos")) === col("u_v") && dominates,
-        "left_anti")
-      .drop("t_nn", "t_pos")
   }
 }

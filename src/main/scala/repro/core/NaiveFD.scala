@@ -13,8 +13,10 @@ import scala.collection.mutable
   * polynomial-delay FD iterators of Cohen et al. [2] in the runtime
   * comparison benches. They build the same valid sets as
   * `FullDisjunction`'s one-pass closure by a different enumeration (one
-  * table added per round, duplicates dropped per round), then run the same
-  * dedup and subsumption, so outputs are directly comparable.
+  * table added per round, duplicates dropped per round). All three end in
+  * `finish`, the one value merge and subsumption that `FullDisjunction`
+  * also runs per connected component, so outputs are directly comparable;
+  * `ParaFD`'s Spark plan for the same step is checked against it.
   */
 object NaiveFD {
 
@@ -38,11 +40,11 @@ object NaiveFD {
       t.vals.indices.forall(j => t.vals(j).isEmpty || t.vals(j) == u.vals(j))
 
   /** Merge value-identical results (the union of their TID sets, which
-    * equals the union of the maximal ones), then drop value-dominated rows —
-    * identical post-processing to the Spark implementation so outputs are
-    * directly comparable.
+    * equals the union of the maximal ones), then drop value-dominated rows.
+    * Every result needs a non-null value. `FullDisjunction` runs this on
+    * each connected component's sets.
     */
-  private def finish(results: Seq[LocalTuple]): Seq[LocalTuple] = {
+  private[core] def finish(results: Seq[LocalTuple]): Seq[LocalTuple] = {
     val byVals = results.groupBy(_.vals).toVector.map { case (vals, group) => LocalTuple.merged(vals, group) }
     // A dominator must share the dominated tuple's first non-null value.
     val index = byValue(byVals)

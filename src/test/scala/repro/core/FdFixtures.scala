@@ -27,6 +27,24 @@ object FdFixtures {
   def canon(ts: Iterable[LocalTuple]): Set[(Vector[Option[String]], Set[String], Long)] =
     ts.map(t => (t.vals, t.tids, t.covered)).toSet
 
+  /** Every non-empty table-disjoint, consistent, connected subset of `ts`
+    * as its combined tuple, by enumerating every subset: the raw closure,
+    * before any value merge or subsumption.
+    */
+  def validSets(ts: Vector[LocalTuple]): Vector[LocalTuple] =
+    (1 until (1 << ts.size)).toVector.map(mask => ts.indices.filter(i => (mask & (1 << i)) != 0).map(ts))
+      .filter { sel =>
+        val tabs = sel.flatMap(_.tabs)
+        def reach(r: Set[Int]): Set[Int] = {
+          val next = r ++ sel.indices.filter(o => r.exists(c => NaiveFD.connected(sel(c), sel(o))))
+          if (next == r) r else reach(next)
+        }
+        tabs.distinct.size == tabs.size &&
+          sel.combinations(2).forall(p => NaiveFD.consistent(p.head, p.last)) &&
+          reach(Set(0)).size == sel.size
+      }
+      .map(sel => LocalTuple.merged(Vector.tabulate(ts.head.vals.size)(j => sel.flatMap(_.vals(j)).headOption), sel))
+
   /** Random FD instance: up to `maxTables` tables over `m` attributes with
     * overlapping attribute subsets, tiny value domains (to force joins)
     * and missing nulls. Every tuple keeps ≥1 non-null value.

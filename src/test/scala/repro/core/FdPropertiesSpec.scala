@@ -36,4 +36,16 @@ class FdPropertiesSpec extends SparkSpec {
       FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in))))
     assert(r1 == r2)
   }
+
+  test("ParaFD's Spark value merge and subsumption equal the shared local finish") {
+    // The raw closures of random instances hold value-identical and
+    // dominated sets; FD and both NaiveFD references end in NaiveFD.finish.
+    val instances = Iterator.from(1).map(seed => FdFixtures.randomInstance(seed * 7919L + 3)).filter(_.nonEmpty)
+    for (in <- instances.take(100)) {
+      val sets = FdFixtures.validSets(in.toVector)
+      val got = ParaFD.subsume(ParaFD.dedupValues(FdFixtures.toDf(spark, sets)))
+      assert(FdFixtures.canon(FdFixtures.fromDf(got)) == FdFixtures.canon(NaiveFD.finish(sets)),
+        in.mkString("\n"))
+    }
+  }
 }

@@ -1,10 +1,16 @@
 package repro.core
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+
+import org.apache.spark.ListenerBusWait
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+
 import repro.SparkSpec
 import repro.demo.PaperTables
 
 /** ALITE FD on Spark: the paper's figures, exactly. */
-class FullDisjunctionSpec extends SparkSpec {
+class FullDisjunctionSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private def rendered6(it: IntegratedTable) =
     it.rendered.collect().map(r =>
@@ -146,22 +152,6 @@ class FullDisjunctionSpec extends SparkSpec {
       FullDisjunction.integrateAligned(FdFixtures.byTable(spark, in)))) == expected)
   }
 
-  /** Non-empty table-disjoint, consistent, connected subsets of `ts`, by
-    * enumerating every subset.
-    */
-  private def validSubsetCount(ts: Vector[LocalTuple]): Int =
-    (1 until (1 << ts.size)).count { mask =>
-      val sel = ts.indices.filter(i => (mask & (1 << i)) != 0).map(ts)
-      val tabs = sel.flatMap(_.tabs)
-      def reach(r: Set[Int]): Set[Int] = {
-        val next = r ++ sel.indices.filter(o => r.exists(c => NaiveFD.connected(sel(c), sel(o))))
-        if (next == r) r else reach(next)
-      }
-      tabs.distinct.size == tabs.size &&
-        sel.combinations(2).forall(p => NaiveFD.consistent(p.head, p.last)) &&
-        reach(Set(0)).size == sel.size
-    }
-
   test("the raw closure builds every valid set exactly once") {
     val fig2 = AlignedTuples.perTable(PaperTables.fig2(spark),
       new HolisticMatcher().align(PaperTables.fig2(spark)))
@@ -169,9 +159,9 @@ class FullDisjunctionSpec extends SparkSpec {
       .filter(_.nonEmpty).map(FdFixtures.byTable(spark, _))
     for (perTable <- fig2 +: random) {
       val in = perTable.flatMap(FdFixtures.fromDf).toVector
-      val out = FullDisjunction.closure(perTable).collect().map(LocalTuple.fromRow)
+      val out = FullDisjunction.closure(perTable).values.collect()
       assert(out.map(_.tids).distinct.length == out.length, in.mkString("\n"))
-      assert(out.length == validSubsetCount(in), in.mkString("\n"))
+      assert(out.length == FdFixtures.validSets(in).size, in.mkString("\n"))
     }
   }
 
@@ -190,5 +180,83 @@ class FullDisjunctionSpec extends SparkSpec {
     assert(rendered == first.map(t => (t.tids.toSeq.sorted.mkString(","), t.vals)))
     assert(first.flatMap(_.tids).forall(tid => tid.startsWith("ck#") || tid.startsWith("oc#")))
     assert(first.size == 4)
+  }
+
+  /** `body`'s result, and the jobs run and shuffle records written while
+    * it runs.
+    */
+  private def jobsAndShuffleRecords[A](body: => A): (A, Int, Long) = {
+    val (jobs, records) = (new AtomicInteger, new AtomicLong)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => records.addAndGet(m.shuffleWriteMetrics.recordsWritten))
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    val result = try { val r = body; ListenerBusWait(sc); r } finally sc.removeSparkListener(listener)
+    (result, jobs.get, records.get)
+  }
+
+  test("one read of an FD result is one job that grows every set once") {
+    val fig2 = AlignedTuples.perTable(PaperTables.fig2(spark),
+      new HolisticMatcher().align(PaperTables.fig2(spark)))
+    val random = FdFixtures.byTable(spark, FdFixtures.randomInstance(4242L))
+    for (perTable <- Seq(fig2, random)) {
+      val in = perTable.flatMap(FdFixtures.fromDf).toVector
+      assert(FullDisjunction.closure(perTable).getNumPartitions >= 2, "the seeds span several slices")
+      val fd = FullDisjunction.integrateAligned(perTable)
+      val (rows, jobs, records) = jobsAndShuffleRecords(FdFixtures.fromDf(fd))
+      assert(jobs == 1)
+      // Each grown set is written to the shuffle once, so each seed grew once.
+      assert(records == FdFixtures.validSets(in).size)
+      assert(collectLeaves(fd.queryExecution.executedPlan).count(_.nodeName == "Scan ExistingRDD") == 1)
+      assert(FdFixtures.canon(rows) == FdFixtures.canon(NaiveFD.bruteForce(in)))
+    }
+  }
+
+  test("value merge and subsumption across tasks and components equal brute force") {
+    def t(tab: String, tid: String, vs: Option[String]*) =
+      LocalTuple(vs.toVector, vs.indices.map(1L << _).sum, Set(tab), Set(tid))
+    val (x, n) = (Some(_: String), None)
+    // Orders {o1}, {o2}, {o3} are seeds 3–5, their dominators {c1, o1} and
+    // {c3, o2}, {c3, o3} grow from seeds 0 and 2. o4 joins c2 by key and o1
+    // by price, so the one component joins two earlier ones.
+    val dominated = Seq(
+      t("C", "c1", x("1"), x("n1"), n), t("C", "c2", x("2"), x("n2"), n), t("C", "c3", x("3"), x("n1"), n),
+      t("O", "o1", x("1"), n, x("p1")), t("O", "o2", x("3"), n, x("p2")), t("O", "o3", x("3"), n, x("p3")),
+      t("O", "o4", x("2"), n, x("p1")))
+    // (k, 1, 2) from seeds 0, 1 and 2, which share no table with each other.
+    def identical(e: String) = Seq(
+      t("A", s"a1$e", x(s"k$e"), x(s"1$e"), n), t("A", s"a2$e", n, x(s"1$e"), x(s"2$e")),
+      t("A", s"a3$e", x(s"k$e"), x(s"1$e"), x(s"2$e")), t("B", s"b1$e", x(s"k$e"), n, x(s"2$e")))
+    // Four components, each with both patterns; a table's tuples stay together.
+    val several = Seq("A", "B").flatMap(tab => (0 until 4).flatMap(e => identical(s"_$e").filter(_.tabs(tab))))
+    // (instance, components, a set dominated only from other tasks, every
+    // output merged from several tasks)
+    for ((in, components, dominatedAcross, mergedAcross) <- Seq(
+        (dominated, 1, true, false), (identical(""), 1, true, true), (several, 4, false, true))) {
+      val perTable = FdFixtures.byTable(spark, in)
+      val seedOf = perTable.flatMap(_.collect().map(LocalTuple.fromRow)).map(_.tids.head).zipWithIndex.toMap
+      val keyed = FullDisjunction.closure(perTable)
+      val sets = keyed.collect().toVector
+      val slice = (s: LocalTuple) => s.tids.map(seedOf).min % keyed.getNumPartitions
+      def dominates(u: LocalTuple, d: LocalTuple) = u.nonNullCount > d.nonNullCount &&
+        d.vals.indices.forall(j => d.vals(j).isEmpty || d.vals(j) == u.vals(j))
+      val expected = NaiveFD.bruteForce(in)
+      // Sets sharing a (position, value) share a key: every merge and
+      // subsumption stays inside one group.
+      for ((k1, s1) <- sets; (k2, s2) <- sets if NaiveFD.connected(s1, s2)) assert(k1 == k2)
+      assert(sets.map(_._1).distinct.size == components)
+      if (dominatedAcross) assert(sets.exists { case (_, d) =>
+        val us = sets.map(_._2).filter(dominates(_, d))
+        us.nonEmpty && us.forall(slice(_) != slice(d))
+      }, "some set is dominated only from other tasks")
+      if (mergedAcross) assert(expected.forall(e =>
+        sets.map(_._2).filter(_.vals == e.vals).map(slice).distinct.size >= 2),
+        "every output merges sets grown in several tasks")
+      val got = FdFixtures.fromDf(FullDisjunction.integrateAligned(perTable))
+      assert(FdFixtures.canon(got) == FdFixtures.canon(expected), in.mkString("\n"))
+    }
   }
 }
