@@ -1,6 +1,6 @@
 package repro.discovery
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 
 import repro.lake.DataLake
 import repro.util.Norm
@@ -12,8 +12,12 @@ import repro.util.Norm
   * Offline we substitute YAGO with the lake generator's value→type
   * dictionary (`repro.lake.KnowledgeBase`) — the same mechanism, synthetic
   * facts. A column's semantic type is the majority type of its values
-  * in a `SampleSize`-row sample (support ≥ `MinSupport`); numbers and
-  * percentages get syntactic types.
+  * in its table's sample (support ≥ `MinSupport`); numbers and
+  * percentages get syntactic types. A table's sample is its first
+  * `SampleSize` rows in partition order, exactly `limit(SampleSize)`.
+  * One job samples every lake table at the first query, and one more
+  * samples each query; either costs one task per partition of the tables
+  * it reads, each reading at most `SampleSize` rows.
   *
   * Score of a candidate = 2·|shared relationship types| + |shared column
   * types|, restricted to relationships involving the intent column's type
@@ -21,8 +25,9 @@ import repro.util.Norm
   */
 final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
 
+  import Santos.SampleSize
+
   private val MinSupport = 0.4
-  private val SampleSize = 500
 
   override def name: String = "santos"
 
@@ -36,12 +41,29 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
       .orElse(if (numberRe.matches(n)) Some("number") else None)
   }
 
-  /** Majority semantic type of each column (None = untyped). */
-  private[discovery] def columnTypes(df: DataFrame): Vector[Option[String]] = {
-    import org.apache.spark.sql.functions._
-    val names = df.columns
-    val sample = df.limit(SampleSize).collect()
-    names.indices.map { i =>
+  /** The first `SampleSize` rows of each table, in partition order: what
+    * `df.limit(SampleSize).collect()` returns, read for every table in one
+    * job. Each task takes the first `SampleSize` rows of one partition of
+    * one table, and the driver keeps each table's first `SampleSize` of
+    * them; no tables run no job.
+    */
+  private[discovery] def samples(tables: Seq[DataFrame]): Seq[Array[Row]] =
+    tables.headOption.fold(Seq.empty[Array[Row]]) { head =>
+      val n = SampleSize
+      val heads = tables.zipWithIndex.map { case (df, t) =>
+        df.rdd.mapPartitions(rows => rows.take(n).map(r => (t, r)))
+      }
+      // A union's partitions follow its inputs' order, so a collect keeps
+      // each table's rows in partition order.
+      val byTable = head.sparkSession.sparkContext.union(heads).collect().groupBy(_._1)
+      tables.indices.map(t => byTable.getOrElse(t, Array.empty[(Int, Row)]).take(n).map(_._2))
+    }
+
+  /** Majority semantic type of each of `width` columns in `sample`
+    * (None = untyped).
+    */
+  private[discovery] def typesOf(sample: Array[Row], width: Int): Vector[Option[String]] =
+    (0 until width).map { i =>
       val vals = sample.flatMap(r => Option(r.get(i)).map(_.toString)).filter(_.nonEmpty)
       if (vals.isEmpty) None
       else {
@@ -50,7 +72,10 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
         else Some(typed.groupBy(identity).maxBy(g => (g._2.length, g._1))._1)
       }
     }.toVector
-  }
+
+  /** Majority semantic type of each column of `df`, from its sample. */
+  private[discovery] def columnTypes(df: DataFrame): Vector[Option[String]] =
+    typesOf(samples(Seq(df)).head, df.columns.length)
 
   /** Unordered relationship signatures between typed column pairs. Pairs of
     * bare numbers carry no semantic signal (any two numeric tables would
@@ -63,8 +88,13 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
       if !(a == "number" && b == "number")
     } yield if (a <= b) (a, b) else (b, a)).toSet
 
-  private lazy val lakeTypes: Map[String, Vector[Option[String]]] =
-    lake.tables.map { case (n, df) => n -> columnTypes(df) }.toMap
+  /** Column types of every lake table, from one sampling job. */
+  private[discovery] lazy val lakeTypes: Map[String, Vector[Option[String]]] = {
+    val tables = lake.tables
+    tables.zip(samples(tables.map(_._2))).map { case ((n, df), sample) =>
+      n -> typesOf(sample, df.columns.length)
+    }.toMap
+  }
 
   override def scores(query: DataFrame, queryColumn: Option[String]): Seq[ScoredTable] = {
     val qTypes = columnTypes(query)
@@ -85,4 +115,9 @@ final class Santos(lake: DataLake, kb: Map[String, String]) extends Discoverer {
       ScoredTable(t, 2.0 * relScore + typeScore)
     }
   }
+}
+
+object Santos {
+  /** Rows per table that column typing reads. */
+  val SampleSize = 500
 }

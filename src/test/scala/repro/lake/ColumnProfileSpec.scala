@@ -1,30 +1,45 @@
 package repro.lake
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
 import repro.demo.PaperTables
 
-class ColumnProfileSpec extends SparkSpec {
+class ColumnProfileSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   import spark.implicits._
 
   private def sigOf(sigs: Array[org.apache.spark.sql.Row], table: String): Vector[Long] =
     sigs.find(_.getAs[String]("table") == table).map(r => r.getSeq[Long](r.fieldIndex("sig")).toVector).get
 
-  test("melt emits one row per distinct (column, value)") {
+  test("size counts each distinct value of a column once") {
     val df = Seq(("a", "x"), ("a", "y"), ("b", "x")).toDF("c1", "c2")
-    val m = ColumnProfile.melt(Seq("t" -> df)).collect()
-    val c1 = m.filter(_.getAs[Int]("colIdx") == 0).map(_.getAs[String]("value")).toSet
-    val c2 = m.filter(_.getAs[Int]("colIdx") == 1).map(_.getAs[String]("value")).toSet
-    assert(c1 == Set("a", "b") && c2 == Set("x", "y"))
-    assert(m.length == 4)
+    val prof = ColumnProfile.of(Seq("t" -> df)).collect()
+      .map(r => r.getAs[Int]("colIdx") -> (r.getAs[Long]("size"), r.getAs[Seq[String]]("sample").toSet)).toMap
+    assert(prof == Map(0 -> (2L, Set("a", "b")), 1 -> (2L, Set("x", "y"))))
   }
 
-  test("melt drops nulls and empty strings") {
-    val df = Seq(("a", null), ("", "y")).toDF("c1", "c2")
-    val m = ColumnProfile.melt(Seq("t" -> df)).collect()
-    assert(m.map(_.getAs[String]("value")).toSet == Set("a", "y"))
+  test("nulls and empty strings are neither counted nor sampled") {
+    val df = Seq(("a", null), ("", "y"), ("  ", null)).toDF("c1", "c2")
+    val prof = ColumnProfile.of(Seq("t" -> df)).collect()
+      .map(r => r.getAs[Int]("colIdx") -> (r.getAs[Long]("size"), r.getAs[Seq[String]]("sample"))).toMap
+    assert(prof == Map(0 -> (1L, Seq("a")), 1 -> (1L, Seq("y"))))
+  }
+
+  test("a profile of no tables is an empty frame of the profile's schema") {
+    val empty = ColumnProfile.of(Seq.empty)
+    assert(empty.collect().isEmpty)
+    def fields(df: org.apache.spark.sql.DataFrame) = df.schema.map(f => f.name -> f.dataType)
+    assert(fields(empty) == fields(ColumnProfile.of(Seq("t" -> Seq("a").toDF("c")))))
+  }
+
+  test("profiling many tables shuffles once") {
+    val tables = Seq.tabulate(3)(i => s"t$i" -> Seq.tabulate(50)(j => (s"v$j", s"w${j % 7}")).toDF("a", "b"))
+    val prof = ColumnProfile.of(tables)
+    assert(prof.collect().length == 6)
+    assert(collect(prof.queryExecution.executedPlan) { case e: ShuffleExchangeLike => e }.size == 1)
   }
 
   test("signatures carry exact distinct counts") {
